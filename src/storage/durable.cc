@@ -245,8 +245,10 @@ Status DurableStore::Apply(const WalRecord& rec) {
 Status DurableStore::Recover() {
   X100_CHECK(mvcc_.empty());
   // Reserve enough delta headroom that steady-state appends between merges
-  // never hit the capacity fence.
-  int64_t reserve = opts_.merge_threshold_rows * 2;
+  // never hit the capacity fence. The cap keeps a huge threshold from being
+  // allocated up front; appends past it double the capacity behind
+  // MvccTable's fence. Taking the min before the *2 rules out overflow.
+  int64_t reserve = std::min(opts_.merge_threshold_rows, kDefaultMergeRows) * 2;
   for (const std::string& name : catalog_->TableNames()) {
     Table* t = catalog_->Find(name);
     if (!t->frozen()) t->Freeze();

@@ -262,6 +262,11 @@ int64_t MvccTable::delta_rows() const {
   return current_->total_rows - current_->fragment_rows;
 }
 
+int64_t MvccTable::delta_capacity() const {
+  std::lock_guard<std::mutex> lk(write_mu_);
+  return delta_capacity_;
+}
+
 uint64_t MvccTable::epoch() const {
   std::lock_guard<std::mutex> lk(state_mu_);
   return epoch_;

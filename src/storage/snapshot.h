@@ -104,6 +104,8 @@ class MvccTable {
   const Table& table() const { return *table_; }
   /// Published delta row count (safe to poll concurrently with writers).
   int64_t delta_rows() const;
+  /// Delta rows reserved ahead of the next capacity fence.
+  int64_t delta_capacity() const;
   uint64_t epoch() const;
 
  private:
@@ -129,7 +131,7 @@ class MvccTable {
   Table* table_;
   int num_specs_;  // declared (non-ji) columns
 
-  std::mutex write_mu_;  // serializes Append/Delete/Merge
+  mutable std::mutex write_mu_;  // serializes Append/Delete/Merge
   int64_t delta_capacity_;
   std::vector<JiSpec> ji_;
 

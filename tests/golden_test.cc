@@ -1,6 +1,6 @@
-// Golden-reference tests: Q1, Q3 and Q6 recomputed with straight scalar C++
-// over the generated data — a third, engine-independent opinion on top of the
-// X100-vs-MIL cross-check.
+// Golden-reference tests: Q1, Q3, Q6 and Q13 recomputed with straight scalar
+// C++ over the generated data — a third, engine-independent opinion on top of
+// the X100-vs-MIL cross-check.
 
 #include <algorithm>
 #include <map>
@@ -9,6 +9,7 @@
 
 #include "common/date.h"
 #include "exec/operator.h"
+#include "primitives/string_prims.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -157,6 +158,37 @@ TEST_F(GoldenTest, Q3) {
     EXPECT_NEAR(got->GetValue(i, 1).AsF64(), rows[i].rev, 1e-6 * rows[i].rev);
     EXPECT_EQ(got->GetValue(i, 2).AsI64(), rows[i].date);
     EXPECT_EQ(got->GetValue(i, 3).AsI64(), rows[i].prio);
+  }
+}
+
+TEST_F(GoldenTest, Q13) {
+  // NOT LIKE through the reference matcher, independent of the shape-
+  // specialized X100 primitive and of the MIL plan.
+  const Table& o = db_->Get("orders");
+  const Table& c = db_->Get("customer");
+  int ocust = o.ColumnIndex("o_custkey"), ocom = o.ColumnIndex("o_comment");
+  std::map<int64_t, int64_t> orders_of;  // custkey -> qualifying orders
+  for (int64_t r = 0; r < o.num_rows(); r++) {
+    std::string comment = o.GetValue(r, ocom).AsStr();
+    if (LikeMatch(comment.c_str(), "%special%requests%")) continue;
+    orders_of[o.GetValue(r, ocust).AsI64()]++;
+  }
+  std::map<int64_t, int64_t> custdist;  // c_count -> customers
+  int ckey = c.ColumnIndex("c_custkey");
+  for (int64_t r = 0; r < c.num_rows(); r++) {
+    auto it = orders_of.find(c.GetValue(r, ckey).AsI64());
+    custdist[it == orders_of.end() ? 0 : it->second]++;
+  }
+  std::vector<std::pair<int64_t, int64_t>> rows;  // (custdist, c_count)
+  for (const auto& [count, n] : custdist) rows.emplace_back(n, count);
+  std::sort(rows.rbegin(), rows.rend());  // custdist desc, c_count desc
+
+  ExecContext ctx;
+  std::unique_ptr<Table> got = RunX100Query(13, &ctx, *db_);
+  ASSERT_EQ(got->num_rows(), static_cast<int64_t>(rows.size()));
+  for (size_t i = 0; i < rows.size(); i++) {
+    EXPECT_EQ(got->GetValue(i, 0).AsI64(), rows[i].second);
+    EXPECT_EQ(got->GetValue(i, 1).AsI64(), rows[i].first);
   }
 }
 

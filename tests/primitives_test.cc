@@ -337,6 +337,77 @@ TEST(LikeTest, PatternSemantics) {
   EXPECT_FALSE(LikeMatch("PROMO POLISHED TIN", "MEDIUM POLISHED%"));
 }
 
+// The LIKE primitives pick a matcher by pattern shape; LikeMatch is the
+// reference they must agree with, pattern by pattern and value by value.
+TEST(LikeTest, ShapeSpecializedPrimitivesMatchLikeMatch) {
+  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
+  const SelectPrimitive* like = r.FindSelect("select_like_str_col_str_val");
+  const SelectPrimitive* notlike =
+      r.FindSelect("select_notlike_str_col_str_val");
+  ASSERT_NE(like, nullptr);
+  ASSERT_NE(notlike, nullptr);
+
+  Rng rng(7);
+  auto random_str = [&](const char* alphabet, int alpha_n, int max_len) {
+    std::string out(static_cast<size_t>(rng.Uniform(0, max_len)), ' ');
+    for (char& c : out) c = alphabet[rng.Uniform(0, alpha_n - 1)];
+    return out;
+  };
+  std::vector<std::string> strs;
+  for (int i = 0; i < 1024; i++) {
+    // Mostly short values over {a,b}; every 16th one long enough for the
+    // patterns that overflow the matcher's segment buffer.
+    strs.push_back(i % 16 == 0 ? random_str("aab", 3, 90)
+                               : random_str("ab", 2, 7));
+  }
+  strs[0] = "";
+  strs[1] = "aba";
+  strs[2] = std::string(80, 'a');
+  std::vector<const char*> vals;
+  for (const std::string& v : strs) vals.push_back(v.c_str());
+
+  std::vector<std::string> pats = {
+      "", "%", "%%", "a", "ab", "a%", "%a", "%a%", "%%a%%", "a%%", "%%b",
+      "a%b", "ab%ba", "%ab%ba%", "%ab%ba", "ab%ba%", "a%b%a", "%b%b%b%",
+      "_", "__", "a_", "_b%", "%_b%", "a%_", "%a_b", "abababababab",
+      "%abababababab%", std::string(70, 'a'),
+      "%" + std::string(64, 'a') + "%",
+      std::string(32, 'a') + "%" + std::string(32, 'a'),
+      "%" + std::string(62, 'a'), std::string(62, 'a') + "%"};
+  for (int i = 0; i < 200; i++) pats.push_back(random_str("ab%%_", 5, 7));
+
+  const std::vector<int> sel = MakeSel(1024, 3);
+  std::vector<int> got(1024), got_not(1024);
+  for (const std::string& pat : pats) {
+    const char* p = pat.c_str();
+    const void* args[2] = {vals.data(), &p};
+    for (int n : {1, 13, 1024}) {
+      for (bool with_sel : {false, true}) {
+        const int* s = with_sel ? sel.data() : nullptr;
+        int m = with_sel ? (n + 2) / 3 : n;
+        std::vector<int> want, want_not;
+        for (int j = 0; j < m; j++) {
+          int i = s ? s[j] : j;
+          (LikeMatch(vals[i], p) ? want : want_not).push_back(i);
+        }
+        int k = like->fn(m, got.data(), args, s);
+        int k_not = notlike->fn(m, got_not.data(), args, s);
+        EXPECT_EQ(std::vector<int>(got.begin(), got.begin() + k), want)
+            << "like '" << pat << "' n=" << n << " sel=" << with_sel;
+        EXPECT_EQ(std::vector<int>(got_not.begin(), got_not.begin() + k_not),
+                  want_not)
+            << "notlike '" << pat << "' n=" << n << " sel=" << with_sel;
+      }
+    }
+  }
+
+  // Segments never overlap: 'ab' then 'ba' needs four characters.
+  EXPECT_FALSE(LikeMatch("aba", "%ab%ba%"));
+  const char* p = "%ab%ba%";
+  const void* args[2] = {&vals[1], &p};
+  EXPECT_EQ(like->fn(1, got.data(), args, nullptr), 0);
+}
+
 TEST(StringSelectTest, EqAndLike) {
   const PrimitiveRegistry& r = PrimitiveRegistry::Get();
   const char* vals[4] = {"MAIL", "SHIP", "MAIL", "AIR"};

@@ -283,6 +283,33 @@ TEST(DurableStoreTest, MergeReplaysDeterministically) {
   Check(store->catalog()->Find("emp"));
 }
 
+TEST(DurableStoreTest, DeltaCapacityFollowsAppendsNotMergeThreshold) {
+  // A merge threshold near 2^30 rows must not reserve 2^31 rows per delta
+  // column up front: the reserve is capped, and appends past the cap grow
+  // it behind the fence.
+  ScopedTempDir dir("x100_durable_test");
+  DurableStore::Options opts = StoreOpts(dir.path());
+  opts.merge_threshold_rows = int64_t{1} << 30;
+  auto store = OpenEmpStore(opts);
+  ASSERT_NE(store, nullptr);
+  MvccTable* emp = store->mvcc("emp");
+  const int64_t cap = 2 * kDefaultMergeRows;
+  EXPECT_EQ(emp->delta_capacity(), cap);
+
+  uint64_t lsn = 0;
+  for (int64_t i = 0; i <= cap; i++) {
+    ASSERT_TRUE(store
+                    ->Append("emp",
+                             {Value::I64(100 + i), Value::I64(i % 8),
+                              Value::F64(0.5 * i)},
+                             /*durable=*/false, &lsn)
+                    .ok());
+  }
+  EXPECT_EQ(emp->delta_rows(), cap + 1);
+  EXPECT_EQ(emp->delta_capacity(), 2 * cap);
+  EXPECT_EQ(emp->table()->GetValue(100 + cap, 0).AsI64(), 100 + cap);
+}
+
 // ---- Concurrency: epoch-consistent snapshots under load (TSan target) ------
 
 TEST(DurableStoreTest, ConcurrentReadersSeeEpochConsistentSnapshots) {

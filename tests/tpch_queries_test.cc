@@ -226,6 +226,55 @@ TEST(TpchFetchNJoin, OrdersRangeFetchMatchesHashJoin) {
   }
 }
 
+TEST(TpchPlans, Q9PartFirstFilterBitIdenticalToLineitemSideFilter) {
+  // Q9 filters p_name on part and semi-joins lineitem against the survivors.
+  // The plan it replaced fetched p_name into every lineitem row and filtered
+  // there; both feed HashAggr in lineitem scan order, so the sums must agree
+  // exactly.
+  DbgenOptions opts;
+  opts.scale_factor = 0.02;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  ExecContext ctx;
+  using namespace x100::exprs;
+  const std::string ji_part = Table::JoinIndexName("part");
+  const std::string ji_supp = Table::JoinIndexName("supplier");
+  const std::string ji_ord = Table::JoinIndexName("orders");
+  const std::string ji_ps = Table::JoinIndexName("partsupp");
+
+  auto li = plan::Scan(&ctx, db->Get("lineitem"),
+                       {"l_quantity", "l_extendedprice", "l_discount", ji_part,
+                        ji_supp, ji_ord, ji_ps});
+  li = plan::Fetch1Join(&ctx, std::move(li), db->Get("part"), ji_part,
+                        {{"p_name", "p_name"}});
+  li = plan::Select(&ctx, std::move(li), Like(Col("p_name"), "%green%"));
+  li = plan::Fetch1Join(&ctx, std::move(li), db->Get("supplier"), ji_supp,
+                        {{Table::JoinIndexName("nation"), "ji_sn"}});
+  li = plan::Fetch1Join(&ctx, std::move(li), db->Get("nation"), "ji_sn",
+                        {{"n_name", "nation"}});
+  li = plan::Fetch1Join(&ctx, std::move(li), db->Get("orders"), ji_ord,
+                        {{"o_orderdate", "o_orderdate"}});
+  li = plan::Fetch1Join(&ctx, std::move(li), db->Get("partsupp"), ji_ps,
+                        {{"ps_supplycost", "ps_supplycost"}});
+  std::vector<NamedExpr> proj;
+  proj.push_back(Pass("nation"));
+  proj.push_back(As("o_year", Call1("year", Col("o_orderdate"))));
+  proj.push_back(As(
+      "amount",
+      Sub(Mul(Sub(LitF64(1.0), Col("l_discount")), Col("l_extendedprice")),
+          Mul(Col("ps_supplycost"), Col("l_quantity")))));
+  li = plan::Project(&ctx, std::move(li), std::move(proj));
+  std::vector<AggrSpec> aggrs;
+  aggrs.push_back(Sum("sum_profit", Col("amount")));
+  li = plan::HashAggr(&ctx, std::move(li), {"nation", "o_year"},
+                      std::move(aggrs));
+  li = plan::Order(&ctx, std::move(li), {Asc("nation"), Desc("o_year")});
+  std::unique_ptr<Table> lineitem_side = RunPlan(std::move(li), "q9_old");
+
+  std::unique_ptr<Table> part_first = RunX100Query(9, &ctx, *db);
+  ASSERT_GT(part_first->num_rows(), 0);
+  ExpectTablesEqual(*part_first, *lineitem_side, 0.0);
+}
+
 TEST(TpchTrace, MilQ1TraceHasTwentyStatements) {
   DbgenOptions opts;
   opts.scale_factor = 0.01;
