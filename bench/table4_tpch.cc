@@ -48,6 +48,9 @@ int main() {
     x100_total += x100_s;
     ex.AddReps("q" + std::to_string(q) + "_mil", mil_r);
     ex.AddReps("q" + std::to_string(q) + "_x100", x100_r);
+    // Machine-independent ledger entry: both engines ran on the same host.
+    ex.AddScalar("q" + std::to_string(q) + "_mil_over_x100", mil_s / x100_s,
+                 "x");
     std::printf("%3d %14.4f %14.4f %9.1fx\n", q, mil_s, x100_s, mil_s / x100_s);
   }
   std::printf("%3s %14.4f %14.4f %9.1fx\n", "sum", mil_total, x100_total,

@@ -131,8 +131,12 @@ class DirectAggrOp : public Operator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// OrdAggr: chosen when all members of a group arrive adjacently in the
-/// source Dataflow (§4.1.2); streams with O(1) state per group.
+/// OrdAggr: correct only when all members of a group arrive adjacently in
+/// the source Dataflow (§4.1.2); plans choose it through plan::ClusteredAggr,
+/// which proves that first. Streams groups out as they complete and retains
+/// at most 2 x vector_size of them. Output order (first encounter) and
+/// per-group accumulation order match HashAggr's, so on clustered input the
+/// two produce bit-identical results.
 class OrdAggrOp : public Operator {
  public:
   OrdAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
@@ -142,10 +146,11 @@ class OrdAggrOp : public Operator {
   const Schema& schema() const override { return schema_; }
   void Open() override;
   VectorBatch* Next() override;
-  void Close() override { child_->Close(); }
+  void Close() override;
 
   /// EXPLAIN ANALYZE hook (set by the plan factory): fused-chain steps in
-  /// the aggregate inputs attach their fused[...] trace nodes here.
+  /// the aggregate inputs attach their fused[...] trace nodes here, and
+  /// Close() adds the ord.groups / ord.max_retained counters.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:

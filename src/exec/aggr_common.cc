@@ -19,34 +19,45 @@ const char* OpName(AggrOp op) {
   return "?";
 }
 
+// Appends slots [from, n) holding `init` to `state`, in one resize.
+template <typename T>
+void FillSlots(Buffer* state, size_t from, size_t n, T init) {
+  state->Resize(n * sizeof(T));
+  T* s = static_cast<T*>(state->data());
+  for (size_t i = from; i < n; i++) s[i] = init;
+}
+
+template <typename T>
+T InitValue(AggrOp op, T min_identity, T max_identity) {
+  return op == AggrOp::kMin ? min_identity
+         : op == AggrOp::kMax ? max_identity
+                              : T{0};
+}
+
 }  // namespace
 
 void BoundAggr::EnsureSlots(size_t n) {
-  while (slots < n) {
-    switch (state_type) {
-      case TypeId::kF64:
-        state.PushBack(op == AggrOp::kMin ? std::numeric_limits<double>::infinity()
-                       : op == AggrOp::kMax
-                           ? -std::numeric_limits<double>::infinity()
-                           : 0.0);
-        break;
-      case TypeId::kI64:
-        state.PushBack(op == AggrOp::kMin ? std::numeric_limits<int64_t>::max()
-                       : op == AggrOp::kMax
-                           ? std::numeric_limits<int64_t>::min()
-                           : int64_t{0});
-        break;
-      case TypeId::kI32:
-        state.PushBack(op == AggrOp::kMin ? std::numeric_limits<int32_t>::max()
-                       : op == AggrOp::kMax
-                           ? std::numeric_limits<int32_t>::min()
-                           : int32_t{0});
-        break;
-      default:
-        X100_CHECK(false);
-    }
-    slots++;
+  if (slots >= n) return;
+  switch (state_type) {
+    case TypeId::kF64:
+      FillSlots(&state, slots, n,
+                InitValue(op, std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()));
+      break;
+    case TypeId::kI64:
+      FillSlots(&state, slots, n,
+                InitValue(op, std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min()));
+      break;
+    case TypeId::kI32:
+      FillSlots(&state, slots, n,
+                InitValue(op, std::numeric_limits<int32_t>::max(),
+                          std::numeric_limits<int32_t>::min()));
+      break;
+    default:
+      X100_CHECK(false);
   }
+  slots = n;
 }
 
 Value BoundAggr::Result(size_t slot) const {

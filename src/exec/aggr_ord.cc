@@ -1,77 +1,168 @@
 #include <cstring>
 
 #include "exec/aggr_internal.h"
+#include "exec/trace.h"
 
 namespace x100 {
 
 using aggr_internal::BoundAggr;
 
+namespace {
+
+// Boundary primitives: flags[j] |= (key at live position j differs from the
+// key at live position j-1). The predecessor of the first live position is
+// `prev`, the open group's key carried over from the previous vector.
+template <typename T>
+void MarkBoundaries(int n, const void* col, const int* sel, const void* prev,
+                    uint8_t* __restrict__ flags) {
+  const T* __restrict__ v = static_cast<const T*>(col);
+  T last = *static_cast<const T*>(prev);
+  if (sel) {
+    for (int j = 0; j < n; j++) {
+      T cur = v[sel[j]];
+      flags[j] |= static_cast<uint8_t>(cur != last);
+      last = cur;
+    }
+  } else {
+    flags[0] |= static_cast<uint8_t>(v[0] != last);
+    for (int i = 1; i < n; i++) {
+      flags[i] |= static_cast<uint8_t>(v[i] != v[i - 1]);
+    }
+  }
+}
+
+void MarkBoundariesStr(int n, const void* col, const int* sel,
+                       const void* prev, uint8_t* __restrict__ flags) {
+  const char* const* v = static_cast<const char* const*>(col);
+  const char* last = *static_cast<const char* const*>(prev);
+  for (int j = 0; j < n; j++) {
+    const char* cur = v[sel ? sel[j] : j];
+    flags[j] |= static_cast<uint8_t>(cur != last && std::strcmp(cur, last) != 0);
+    last = cur;
+  }
+}
+
+// Key gather: appends col[starts[k]] for k < n to `dst`.
+template <typename T>
+void GatherKeys(int n, const void* col, const int* starts, void* dst) {
+  const T* __restrict__ v = static_cast<const T*>(col);
+  T* __restrict__ out = static_cast<T*>(dst);
+  for (int k = 0; k < n; k++) out[k] = v[starts[k]];
+}
+
+using BoundaryFn = void (*)(int, const void*, const int*, const void*,
+                            uint8_t*);
+using GatherFn = void (*)(int, const void*, const int*, void*);
+
+}  // namespace
+
 // Ordered aggregation (§4.1.2): all members of a group arrive adjacently, so
-// one accumulator slot suffices. Group boundaries are detected per vector and
-// each run is aggregated with one primitive call over a selection-vector
-// slice — runs stay vectorized, only boundaries are scalar work.
+// a group is complete as soon as the key changes. Per input vector:
+//   1. boundary flags: one typed compare primitive per key column, against
+//      the predecessor live position (the open group's key for the first);
+//   2. a prefix sum over the flags gives every live position its group slot;
+//   3. the new groups' keys are gathered in one pass per key column;
+//   4. each aggregate is one aggr_* primitive call over the whole vector,
+//      exactly as in HashAggr.
+// Slot layout: [finished groups not yet emitted..., open group]. Emission
+// drops finished groups, so the operator retains at most 2 x vector_size
+// groups however many it produces.
 struct OrdAggrOp::Impl {
   std::unique_ptr<MultiExprEvaluator> inputs;
   std::vector<BoundAggr> aggrs;
 
   std::vector<int> key_cols;
   std::vector<size_t> key_widths;
-  std::vector<bool> key_is_str;
+  std::vector<BoundaryFn> mark_fns;
+  std::vector<GatherFn> gather_fns;
+  std::vector<Buffer> key_store;  // per key column: one value per slot
 
-  bool have_group = false;
-  std::vector<std::vector<char>> cur_key;  // current group's raw key bytes
-
-  // Finished groups pending emission.
-  std::vector<Buffer> done_keys;
-  std::vector<Buffer> done_states;
-  size_t done_count = 0;
-  size_t emit_pos = 0;
+  size_t slots = 0;        // used slots: pending finished + the open group
+  bool have_group = false;  // the last slot is a group still receiving input
   bool input_done = false;
+  size_t produced = 0;      // groups emitted so far
+  size_t max_retained = 0;  // high-water mark of `slots`
 
-  std::unique_ptr<int[]> run_sel;
+  std::unique_ptr<uint8_t[]> flags;
+  std::unique_ptr<int[]> starts;
+  std::unique_ptr<uint32_t[]> groups;
   VectorBatch out;
 
-  bool KeyEquals(const VectorBatch* batch, int pos) const {
+  size_t finished() const { return have_group ? slots - 1 : slots; }
+
+  void Consume(VectorBatch* batch) {
+    if (inputs) inputs->Eval(batch);
+    int n = batch->sel_count();
+    if (n == 0) return;
+    const int* sel = batch->sel();
+
+    std::memset(flags.get(), 0, static_cast<size_t>(n));
     for (size_t c = 0; c < key_cols.size(); c++) {
+      // Without an open group the first flag is forced below, so any
+      // readable predecessor will do; the live key itself is one.
       const char* data =
           static_cast<const char*>(batch->column(key_cols[c]).data());
-      const char* a = data + static_cast<size_t>(pos) * key_widths[c];
-      if (key_is_str[c]) {
-        const char* sa = *reinterpret_cast<const char* const*>(a);
-        const char* sb = *reinterpret_cast<const char* const*>(cur_key[c].data());
-        if (std::strcmp(sa, sb) != 0) return false;
-      } else if (std::memcmp(a, cur_key[c].data(), key_widths[c]) != 0) {
-        return false;
-      }
+      const void* prev =
+          have_group ? static_cast<const char*>(key_store[c].data()) +
+                           (slots - 1) * key_widths[c]
+                     : data + static_cast<size_t>(sel ? sel[0] : 0) *
+                                  key_widths[c];
+      mark_fns[c](n, data, sel, prev, flags.get());
     }
-    return true;
+    if (!have_group) flags[0] = 1;
+
+    // Prefix sum: slot of each live position; starts = first position of
+    // every new group. `g` starts one below the first new slot (wrapping
+    // from 0 is fine: flags[0] is set then).
+    uint32_t g = static_cast<uint32_t>(slots) - 1;
+    int k = 0;
+    for (int j = 0; j < n; j++) {
+      int i = sel ? sel[j] : j;
+      g += flags[j];
+      groups[i] = g;
+      starts[k] = i;
+      k += flags[j];
+    }
+
+    for (size_t c = 0; c < key_cols.size(); c++) {
+      size_t w = key_widths[c];
+      key_store[c].Resize((slots + k) * w);
+      gather_fns[c](k, batch->column(key_cols[c]).data(), starts.get(),
+                    static_cast<char*>(key_store[c].data()) + slots * w);
+    }
+    slots += static_cast<size_t>(k);
+    have_group = true;
+    max_retained = std::max(max_retained, slots);
+    for (BoundAggr& a : aggrs) {
+      a.EnsureSlots(slots);
+      aggr_internal::UpdateAggr(&a, inputs.get(), batch, groups.get());
+    }
   }
 
-  void CaptureKey(const VectorBatch* batch, int pos) {
+  // Copies the first `n` slots into `out`, then shifts the rest down.
+  void Emit(int n) {
+    size_t rem = slots - static_cast<size_t>(n);
     for (size_t c = 0; c < key_cols.size(); c++) {
-      const char* data =
-          static_cast<const char*>(batch->column(key_cols[c]).data());
-      std::memcpy(cur_key[c].data(),
-                  data + static_cast<size_t>(pos) * key_widths[c],
-                  key_widths[c]);
-    }
-  }
-
-  void FlushGroup() {
-    if (!have_group) return;
-    for (size_t c = 0; c < key_cols.size(); c++) {
-      done_keys[c].Append(cur_key[c].data(), key_widths[c]);
+      size_t w = key_widths[c];
+      char* src = static_cast<char*>(key_store[c].data());
+      std::memcpy(out.column(static_cast<int>(c)).data(), src,
+                  static_cast<size_t>(n) * w);
+      std::memmove(src, src + static_cast<size_t>(n) * w, rem * w);
+      key_store[c].Resize(rem * w);
     }
     for (size_t a = 0; a < aggrs.size(); a++) {
       size_t w = TypeWidth(aggrs[a].state_type);
-      done_states[a].Append(aggrs[a].state.data(), w);
-      // Reset the single accumulator slot.
-      aggrs[a].slots = 0;
-      aggrs[a].state.Clear();
-      aggrs[a].EnsureSlots(1);
+      char* src = static_cast<char*>(aggrs[a].state.data());
+      std::memcpy(out.column(static_cast<int>(key_cols.size() + a)).data(),
+                  src, static_cast<size_t>(n) * w);
+      std::memmove(src, src + static_cast<size_t>(n) * w, rem * w);
+      aggrs[a].state.Resize(rem * w);
+      aggrs[a].slots = rem;
     }
-    done_count++;
-    have_group = false;
+    slots = rem;
+    produced += static_cast<size_t>(n);
+    out.set_count(n);
+    out.ClearSel();
   }
 };
 
@@ -103,96 +194,64 @@ void OrdAggrOp::Open() {
                                                im.aggrs, &schema_);
   const Schema& cs = child_->schema();
   for (int ci : im.key_cols) {
-    im.key_widths.push_back(TypeWidth(cs.field(ci).type));
-    im.key_is_str.push_back(cs.field(ci).type == TypeId::kStr &&
-                            !cs.field(ci).dict.valid());
-    im.cur_key.emplace_back(TypeWidth(cs.field(ci).type));
+    const Field& f = cs.field(ci);
+    size_t w = TypeWidth(f.type);
+    im.key_widths.push_back(w);
+    // Keys compare by bit pattern (as HashAggr's memcmp does), except plain
+    // strings, which compare by content.
+    if (f.type == TypeId::kStr && !f.dict.valid()) {
+      im.mark_fns.push_back(&MarkBoundariesStr);
+    } else if (w == 1) {
+      im.mark_fns.push_back(&MarkBoundaries<uint8_t>);
+    } else if (w == 2) {
+      im.mark_fns.push_back(&MarkBoundaries<uint16_t>);
+    } else if (w == 4) {
+      im.mark_fns.push_back(&MarkBoundaries<uint32_t>);
+    } else {
+      X100_CHECK(w == 8);
+      im.mark_fns.push_back(&MarkBoundaries<uint64_t>);
+    }
+    im.gather_fns.push_back(w == 1   ? &GatherKeys<uint8_t>
+                            : w == 2 ? &GatherKeys<uint16_t>
+                            : w == 4 ? &GatherKeys<uint32_t>
+                                     : &GatherKeys<uint64_t>);
   }
-  im.done_keys.resize(im.key_cols.size());
-  im.done_states.resize(im.aggrs.size());
-  im.run_sel = std::make_unique<int[]>(ctx_->vector_size);
-  for (BoundAggr& a : im.aggrs) a.EnsureSlots(1);
+  im.key_store.resize(im.key_cols.size());
+  size_t vs = static_cast<size_t>(ctx_->vector_size);
+  im.flags = std::make_unique<uint8_t[]>(vs);
+  im.starts = std::make_unique<int[]>(vs);
+  im.groups = std::make_unique<uint32_t[]>(vs);
   im.out = VectorBatch(schema_, ctx_->vector_size);
 }
 
 VectorBatch* OrdAggrOp::Next() {
   Impl& im = *impl_;
-  // Consume input until a full output vector of groups is pending (or EOF).
-  while (!im.input_done &&
-         im.done_count - im.emit_pos < static_cast<size_t>(ctx_->vector_size)) {
+  size_t vs = static_cast<size_t>(ctx_->vector_size);
+  // Consume input until a full output vector of groups is finished (or EOF).
+  // Before each input vector at most vector_size slots are in use (fewer
+  // than vector_size finished plus the open group), and a vector adds at
+  // most vector_size, so the slots never exceed 2 x vector_size.
+  while (!im.input_done && im.finished() < vs) {
     VectorBatch* batch = child_->Next();
     if (batch == nullptr) {
-      im.FlushGroup();
       im.input_done = true;
+      im.have_group = false;  // EOF closes the open group
       break;
     }
-    if (im.inputs) im.inputs->Eval(batch);
-    int n = batch->sel_count();
-    const int* sel = batch->sel();
-
-    int j = 0;
-    while (j < n) {
-      int pos = sel ? sel[j] : j;
-      if (im.have_group && !im.KeyEquals(batch, pos)) im.FlushGroup();
-      if (!im.have_group) {
-        im.CaptureKey(batch, pos);
-        im.have_group = true;
-      }
-      // Extend the run while keys match.
-      int run_end = j;
-      while (run_end < n) {
-        int p = sel ? sel[run_end] : run_end;
-        if (!im.KeyEquals(batch, p)) break;
-        run_end++;
-      }
-      // Aggregate the run [j, run_end) in one primitive call.
-      int run_len = run_end - j;
-      const int* run_positions;
-      if (sel) {
-        run_positions = sel + j;
-      } else {
-        for (int k = 0; k < run_len; k++) im.run_sel[k] = j + k;
-        run_positions = im.run_sel.get();
-      }
-      for (BoundAggr& a : im.aggrs) {
-        const void* col = nullptr;
-        if (a.input_idx >= 0) {
-          col = im.inputs->Result(a.input_idx, batch).data;
-        }
-        if (a.stats) {
-          ScopedCycles cyc(a.stats);
-          a.prim->fn(run_len, a.state.data(), nullptr, col, run_positions);
-          a.stats->calls++;
-          a.stats->tuples += static_cast<uint64_t>(run_len);
-        } else {
-          a.prim->fn(run_len, a.state.data(), nullptr, col, run_positions);
-        }
-      }
-      j = run_end;
-    }
+    im.Consume(batch);
   }
-
-  if (im.emit_pos >= im.done_count) return nullptr;
-  int n = static_cast<int>(std::min<size_t>(ctx_->vector_size,
-                                            im.done_count - im.emit_pos));
-  for (size_t c = 0; c < im.key_cols.size(); c++) {
-    std::memcpy(im.out.column(static_cast<int>(c)).data(),
-                static_cast<const char*>(im.done_keys[c].data()) +
-                    im.emit_pos * im.key_widths[c],
-                static_cast<size_t>(n) * im.key_widths[c]);
-  }
-  for (size_t a = 0; a < im.aggrs.size(); a++) {
-    int col = static_cast<int>(im.key_cols.size() + a);
-    size_t w = TypeWidth(im.aggrs[a].state_type);
-    std::memcpy(im.out.column(col).data(),
-                static_cast<const char*>(im.done_states[a].data()) +
-                    im.emit_pos * w,
-                static_cast<size_t>(n) * w);
-  }
-  im.out.set_count(n);
-  im.out.ClearSel();
-  im.emit_pos += static_cast<size_t>(n);
+  size_t n = std::min(vs, im.finished());
+  if (n == 0) return nullptr;
+  im.Emit(static_cast<int>(n));
   return &im.out;
+}
+
+void OrdAggrOp::Close() {
+  if (impl_ && trace_node_ != nullptr) {
+    trace_node_->AddCounter("ord.groups", impl_->produced);
+    trace_node_->AddCounter("ord.max_retained", impl_->max_retained);
+  }
+  child_->Close();
 }
 
 }  // namespace x100

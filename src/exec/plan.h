@@ -144,6 +144,32 @@ inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
   return wrapped;
 }
 
+/// Grouped aggregation over rows that come from `source` in scan order
+/// (`child` is a Scan of `source` under Select/Project only, and the single
+/// group column is `source`'s column of that name). Picks OrdAggr when
+/// ScanIsNonDecreasing proves the rows arrive clustered on the group column,
+/// and HashAggr over the same specs otherwise. Both emit groups in first
+/// encounter order and accumulate each group in input order, so the result
+/// is bit-identical either way; only the cost differs. When tracing, the
+/// chosen node carries the check's cost as cluster_check.cycles.
+inline OpPtr ClusteredAggr(ExecContext* ctx, OpPtr child, const Table& source,
+                           std::vector<std::string> group_by,
+                           std::vector<AggrSpec> aggrs) {
+  uint64_t t0 = ReadCycleCounter();
+  bool clustered = group_by.size() == 1 &&
+                   ScanIsNonDecreasing(ctx, source, group_by[0]);
+  uint64_t check_cycles = ReadCycleCounter() - t0;
+  OpPtr op = clustered ? OrdAggr(ctx, std::move(child), std::move(group_by),
+                                 std::move(aggrs))
+                       : HashAggr(ctx, std::move(child), std::move(group_by),
+                                  std::move(aggrs));
+  if (ctx->trace != nullptr) {
+    static_cast<InstrumentedOperator*>(op.get())->node()->AddCounter(
+        "cluster_check.cycles", check_cycles);
+  }
+  return op;
+}
+
 /// Equi-hash-join configured by a JoinSpec (keys, outputs, type — see
 /// exec/join.h).
 inline OpPtr Join(ExecContext* ctx, OpPtr probe, OpPtr build, JoinSpec spec) {

@@ -104,6 +104,16 @@ class ScanOp : public Operator {
   PrimitiveStats* stats_ = nullptr;
 };
 
+/// True when a full ScanOp of `table` under `ctx`'s snapshots delivers
+/// column `col` in non-decreasing order, so equal values arrive adjacently.
+/// One sequential pass over the raw fragment, then over the visible delta
+/// rows, with the same bounds ScanOp::Open takes. Deleted rows are checked
+/// too: dropping rows from a non-decreasing sequence keeps it so. Integer
+/// and date columns only; any other column (floats, strings, enum codes)
+/// returns false.
+bool ScanIsNonDecreasing(ExecContext* ctx, const Table& table,
+                         const std::string& col);
+
 }  // namespace x100
 
 #endif  // X100_EXEC_SCAN_H_

@@ -198,18 +198,24 @@ struct SumOp {
   template <typename S, typename A>
   static void Update(S* acc, A v) { *acc += static_cast<S>(v); }
 };
+// Min/Max store unconditionally so the compare becomes a conditional move:
+// per-group values arrive in data order, and a branch on them mispredicts.
+// The result equals a conditional store's: a NaN input compares false and
+// leaves the accumulator unchanged either way.
 struct MinOp {
   template <typename S, typename A>
   static void Update(S* acc, A v) {
     S x = static_cast<S>(v);
-    if (x < *acc) *acc = x;
+    S cur = *acc;
+    *acc = x < cur ? x : cur;
   }
 };
 struct MaxOp {
   template <typename S, typename A>
   static void Update(S* acc, A v) {
     S x = static_cast<S>(v);
-    if (x > *acc) *acc = x;
+    S cur = *acc;
+    *acc = x > cur ? x : cur;
   }
 };
 

@@ -61,6 +61,12 @@ class Buffer {
     static_cast<T*>(data())[i] = v;
   }
 
+  /// Sets the size to `bytes`; bytes past the old size are uninitialized.
+  void Resize(size_t bytes) {
+    Reserve(bytes);
+    size_ = bytes;
+  }
+
   void Clear() { size_ = 0; }
 
  private:

@@ -2,7 +2,7 @@
 #define X100_TPCH_QUERIES_X100_INTERNAL_H_
 
 // Internal: per-query X100 plan functions + shared plan helpers.
-// Include only from tpch/queries_x100_*.cc.
+// Include only from tpch/queries_x100_*.cc and tests.
 
 #include <memory>
 
@@ -21,6 +21,13 @@ X100_DECLARE_Q(13); X100_DECLARE_Q(14); X100_DECLARE_Q(15); X100_DECLARE_Q(16);
 X100_DECLARE_Q(17); X100_DECLARE_Q(18); X100_DECLARE_Q(19); X100_DECLARE_Q(20);
 X100_DECLARE_Q(21); X100_DECLARE_Q(22);
 #undef X100_DECLARE_Q
+
+/// Q21's per-order sub-plans, materialized as q21_multi (orders with at
+/// least two distinct suppliers) and q21_single (orders whose `late` lines
+/// come from exactly one supplier). Each outputs l_orderkey in first
+/// encounter order.
+TablePtr Q21MultiSupplierOrders(ExecContext* ctx, const Catalog& db);
+TablePtr Q21SingleSupplierOrders(ExecContext* ctx, const Table& late);
 
 /// Move-only-friendly vector builders (NamedExpr / AggrSpec hold ExprPtr).
 template <typename... Ts>

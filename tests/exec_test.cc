@@ -13,6 +13,7 @@
 #include "exec/bm_scan.h"
 #include "exec/plan.h"
 #include "exec/row_util.h"
+#include "exec/trace.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
 
@@ -313,6 +314,194 @@ TEST(AggrOpTest, HashDirectOrderedAgree) {
       &ctx, plan::Scan(&ctx, *t, {"grp", "v"}), {"grp"}, make_aggrs()));
   ExpectTablesEqual(*h, *d, 1e-10);
   ExpectTablesEqual(*h, *o, 1e-10);
+}
+
+// ---- Ordered aggregation vs hash aggregation (differential, eps 0) ---------
+
+/// Clustered input: `num_runs` runs, each holding one distinct key (in every
+/// key column) for a seeded run length. Adjacent runs share k2a and differ
+/// only in k2b a third of the time, so two-column boundaries sometimes come
+/// from the second column alone.
+std::unique_ptr<Table> MakeClusteredRuns(uint64_t seed, int num_runs,
+                                         int max_run) {
+  auto t = std::make_unique<Table>(
+      "runs", std::vector<Table::ColumnSpec>{{"k8", TypeId::kI8, false},
+                                             {"k32", TypeId::kI32, false},
+                                             {"k64", TypeId::kI64, false},
+                                             {"ks", TypeId::kStr, false},
+                                             {"kd", TypeId::kStr, true},
+                                             {"k2a", TypeId::kI32, false},
+                                             {"k2b", TypeId::kI8, false},
+                                             {"f", TypeId::kI32, false},
+                                             {"vi32", TypeId::kI32, false},
+                                             {"vi64", TypeId::kI64, false},
+                                             {"vf64", TypeId::kF64, false}});
+  Rng rng(seed);
+  for (int r = 0; r < num_runs; r++) {
+    // Distinct per run but not monotonic: OrdAggr must not rely on order.
+    int64_t scr = (static_cast<int64_t>(r) * 7919 + 13) % 1000003;
+    int len = 1;
+    if (max_run > 1) {
+      int64_t kind = rng.Uniform(0, 9);
+      len = static_cast<int>(
+          kind < 5   ? rng.Uniform(1, std::min(3, max_run))
+          : kind < 9 ? rng.Uniform(1, std::min(100, max_run))
+                     : rng.Uniform(1, max_run));
+    }
+    std::string key = "key" + std::to_string(scr);
+    for (int i = 0; i < len; i++) {
+      t->AppendRow({Value::I8(static_cast<int8_t>(scr % 256 - 128)),
+                    Value::I32(static_cast<int32_t>(scr)),
+                    Value::I64(scr * 1000000007LL), Value::Str(key),
+                    Value::Str(key), Value::I32(r / 3),
+                    Value::I8(static_cast<int8_t>(r % 3)),
+                    Value::I32(static_cast<int32_t>(rng.Uniform(0, 99))),
+                    Value::I32(static_cast<int32_t>(rng.Uniform(-1000, 1000))),
+                    Value::I64(rng.Uniform(-(1LL << 40), 1LL << 40)),
+                    Value::F64((rng.NextDouble() - 0.5) * 1e6)});
+    }
+  }
+  t->Freeze();
+  return t;
+}
+
+std::vector<AggrSpec> AllOrdAggrSpecs() {
+  std::vector<AggrSpec> a;
+  for (const char* v : {"vi32", "vi64", "vf64"}) {
+    std::string n(v);
+    a.push_back(Sum("sum_" + n, Col(n)));
+    a.push_back(Min("min_" + n, Col(n)));
+    a.push_back(Max("max_" + n, Col(n)));
+  }
+  a.push_back(CountAll("cnt"));
+  return a;
+}
+
+/// Runs HashAggr and OrdAggr over the same input (optionally behind a Select)
+/// and requires bit-identical results in the same row order.
+void ExpectOrdMatchesHash(const Table& t, const std::vector<std::string>& keys,
+                          int vector_size, ExprPtr pred) {
+  ExecContext ctx;
+  ctx.vector_size = vector_size;
+  std::vector<std::string> cols = keys;
+  for (const char* c : {"f", "vi32", "vi64", "vf64"}) cols.push_back(c);
+  auto input = [&] {
+    OpPtr op = plan::Scan(&ctx, t, cols);
+    if (pred) op = plan::Select(&ctx, std::move(op), pred->Clone());
+    return op;
+  };
+  std::unique_ptr<Table> h = RunPlan(
+      plan::HashAggr(&ctx, input(), keys, AllOrdAggrSpecs()), "hash");
+  std::unique_ptr<Table> o = RunPlan(
+      plan::OrdAggr(&ctx, input(), keys, AllOrdAggrSpecs()), "ord");
+  SCOPED_TRACE("vector_size " + std::to_string(vector_size) + " keys " +
+               keys[0] + (pred ? " +select" : ""));
+  ExpectTablesEqual(*h, *o, 0.0);
+}
+
+TEST(OrdAggrTest, MatchesHashAggrOnClusteredRuns) {
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"k8"}, {"k32"}, {"k64"}, {"ks"}, {"kd"}, {"k2a", "k2b"}};
+  // 200 runs keeps the i8 key distinct per run; runs of up to 3000 rows
+  // cross vector boundaries at every vector size.
+  std::unique_ptr<Table> t = MakeClusteredRuns(11, 200, 3000);
+  ASSERT_GT(t->num_rows(), 3000);
+  for (const auto& keys : key_sets) {
+    for (int vs : {1, 7, 1024}) {
+      ExpectOrdMatchesHash(*t, keys, vs, nullptr);
+      ExpectOrdMatchesHash(*t, keys, vs, Lt(Col("f"), LitI32(70)));
+    }
+  }
+}
+
+TEST(OrdAggrTest, MatchesHashAggrOnEdgeShapes) {
+  std::unique_ptr<Table> single = MakeClusteredRuns(12, 1, 1);
+  std::unique_ptr<Table> one_big = MakeClusteredRuns(13, 1, 3000);
+  std::unique_ptr<Table> distinct = MakeClusteredRuns(14, 5000, 1);
+  ASSERT_EQ(distinct->num_rows(), 5000);
+  for (int vs : {1, 7, 1024}) {
+    for (const Table* t : {single.get(), one_big.get(), distinct.get()}) {
+      for (const char* k : {"k32", "ks", "kd"}) {
+        ExpectOrdMatchesHash(*t, {k}, vs, nullptr);
+        ExpectOrdMatchesHash(*t, {k}, vs, Lt(Col("f"), LitI32(50)));
+      }
+    }
+    // Empty input: a Select that keeps nothing.
+    ExpectOrdMatchesHash(*distinct, {"k64"}, vs, Lt(Col("f"), LitI32(0)));
+    ExpectOrdMatchesHash(*distinct, {"k2a", "k2b"}, vs,
+                         Lt(Col("f"), LitI32(0)));
+  }
+}
+
+TEST(OrdAggrTest, RetainsAtMostTwoVectorsOfGroups) {
+  // 1M groups of two rows each: emitted groups must be dropped, not kept.
+  ExecContext ctx;
+  ctx.vector_size = 1024;
+  QueryTrace trace;
+  TraceNode* node = trace.NewNode("OrdAggr", "", {});
+  OrdAggrOp op(&ctx, std::make_unique<ArrayOp>(&ctx, std::vector<int64_t>{2, 1000000}),
+               {"i1"}, AG(CountAll("n")));
+  op.set_trace_node(node);
+  op.Open();
+  int64_t groups = 0;
+  bool counts_ok = true;
+  while (VectorBatch* b = op.Next()) {
+    const int64_t* key = b->column(0).Data<int64_t>();
+    const int64_t* n = b->column(1).Data<int64_t>();
+    for (int i = 0; i < b->count(); i++) {
+      counts_ok &= key[i] == groups + i && n[i] == 2;
+    }
+    groups += b->count();
+  }
+  op.Close();
+  EXPECT_TRUE(counts_ok);
+  EXPECT_EQ(groups, 1000000);
+  uint64_t produced = 0, retained = 0;
+  for (const auto& [name, v] : node->counters) {
+    if (name == "ord.groups") produced = v;
+    if (name == "ord.max_retained") retained = v;
+  }
+  EXPECT_EQ(produced, 1000000u);
+  EXPECT_GT(retained, 0u);
+  EXPECT_LE(retained, 2u * 1024u);
+}
+
+TEST(OrdAggrTest, ClusteredAggrFallsBackToHashWhenAppendsBreakOrder) {
+  std::unique_ptr<Table> t = MakeData(3000);  // id is 0..2999, ascending
+  ExecContext ctx;
+  QueryTrace trace;
+  ctx.trace = &trace;
+  auto run = [&](const char* name) {
+    OpPtr op = plan::ClusteredAggr(&ctx, plan::Scan(&ctx, *t, {"id", "price"}),
+                                   *t, {"id"}, AG(Sum("s", Col("price"))));
+    std::string label =
+        static_cast<InstrumentedOperator*>(op.get())->node()->label;
+    std::unique_ptr<Table> r = RunPlan(std::move(op), name);
+    return std::make_pair(label, std::move(r));
+  };
+  EXPECT_TRUE(ScanIsNonDecreasing(&ctx, *t, "id"));
+  EXPECT_EQ(run("sorted").first, "OrdAggr");
+
+  // A delta row above the maximum keeps the order.
+  t->Insert({Value::I32(5000), Value::Str("red"), Value::F64(1),
+             Value::F64(2.5), Value::Date(9000)});
+  EXPECT_TRUE(ScanIsNonDecreasing(&ctx, *t, "id"));
+  EXPECT_EQ(run("above").first, "OrdAggr");
+
+  // A delta row repeating an early key breaks it: HashAggr must take over
+  // and fold the row into the existing group.
+  t->Insert({Value::I32(7), Value::Str("red"), Value::F64(1), Value::F64(100),
+             Value::Date(9000)});
+  EXPECT_FALSE(ScanIsNonDecreasing(&ctx, *t, "id"));
+  auto [label, r] = run("broken");
+  EXPECT_EQ(label, "HashAggr");
+  EXPECT_EQ(r->num_rows(), 3001);
+  EXPECT_DOUBLE_EQ(r->GetValue(7, 1).AsF64(),
+                   t->GetValue(7, t->ColumnIndex("price")).AsF64() + 100.0);
+
+  // Non-integer columns are never proven clustered.
+  EXPECT_FALSE(ScanIsNonDecreasing(&ctx, *t, "price"));
+  EXPECT_FALSE(ScanIsNonDecreasing(&ctx, *t, "tag"));
 }
 
 TEST(AggrOpTest, ScalarAggregateOnEmptyInput) {

@@ -2,6 +2,7 @@
 // Q1/Q6 additionally check against the hard-coded and tuple-at-a-time
 // baselines. This is the repository's correctness oracle (DESIGN.md).
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -10,9 +11,11 @@
 #include "common/rng.h"
 #include "exec/operator.h"
 #include "exec/plan.h"
+#include "exec/trace.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
+#include "tpch/queries_x100_internal.h"
 #include "tuple/row_store.h"
 
 namespace x100 {
@@ -273,6 +276,271 @@ TEST(TpchPlans, Q9PartFirstFilterBitIdenticalToLineitemSideFilter) {
   std::unique_ptr<Table> part_first = RunX100Query(9, &ctx, *db);
   ASSERT_GT(part_first->num_rows(), 0);
   ExpectTablesEqual(*part_first, *lineitem_side, 0.0);
+}
+
+// Labels of every node under the trace root named `plan`.
+std::vector<std::string> PlanLabels(const QueryTrace& trace,
+                                    const std::string& plan) {
+  std::vector<std::string> labels;
+  for (const TraceNode* root : trace.roots()) {
+    if (root->plan_name != plan) continue;
+    std::vector<const TraceNode*> stack = {root};
+    while (!stack.empty()) {
+      const TraceNode* n = stack.back();
+      stack.pop_back();
+      labels.push_back(n->label);
+      for (const TraceNode* c : n->children) stack.push_back(c);
+    }
+  }
+  return labels;
+}
+
+bool Has(const std::vector<std::string>& v, const std::string& x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+// Which aggregation ran the per-order sub-plans of Q18 and Q21.
+void ExpectPerOrderAggr(ExecContext ctx, const Catalog& db,
+                        const std::string& expected) {
+  const std::string other = expected == "OrdAggr" ? "HashAggr" : "OrdAggr";
+  QueryTrace trace;
+  ctx.trace = &trace;
+  RunX100Query(18, &ctx, db);
+  RunX100Query(21, &ctx, db);
+  for (const char* plan : {"q18_big", "q21_multi", "q21_single"}) {
+    std::vector<std::string> labels = PlanLabels(trace, plan);
+    ASSERT_FALSE(labels.empty()) << plan;
+    EXPECT_TRUE(Has(labels, expected)) << plan << "\n" << trace.ToString();
+    EXPECT_FALSE(Has(labels, other)) << plan << "\n" << trace.ToString();
+  }
+}
+
+void ExpectQ18Q21MatchMil(const Catalog& db) {
+  MilDatabase mil(db);  // BATs materialized after the appends
+  for (int q : {18, 21}) {
+    ExecContext ctx;
+    std::unique_ptr<Table> x100 = RunX100Query(q, &ctx, db);
+    MilSession s;
+    std::unique_ptr<Table> m = RunMilQuery(q, &s, &mil);
+    SCOPED_TRACE("Q" + std::to_string(q));
+    ExpectTablesEqual(*x100, *m, 1e-8);
+  }
+}
+
+// Copies lineitem row `r` as a list of insertable values, join-index
+// columns included (neither engine's Q18/Q21 reads lineitem's).
+std::vector<Value> LineitemRow(const Table& li, int64_t r) {
+  std::vector<Value> row;
+  for (int c = 0; c < li.num_columns(); c++) {
+    row.push_back(li.GetValue(r, c));
+  }
+  return row;
+}
+
+TEST(TpchUpdates, PerOrderQueriesMatchMilAfterOutOfOrderAppend) {
+  // A second line for order 29 lands in the delta, far from the order's
+  // fragment lines: lineitem is no longer clustered on l_orderkey, so the
+  // per-order aggregations must not split order 29 into two groups.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  Table& li = db->Get("lineitem");
+  const int ok = li.ColumnIndex("l_orderkey");
+  const int qty = li.ColumnIndex("l_quantity");
+  int64_t first = -1;
+  double sum_qty = 0;
+  for (int64_t r = 0; r < li.num_rows(); r++) {
+    if (li.GetValue(r, ok).AsI64() != 29) continue;
+    if (first < 0) first = r;
+    sum_qty += li.GetValue(r, qty).AsF64();
+  }
+  ASSERT_GE(first, 0);
+  ASSERT_LE(sum_qty, 300.0);  // order 29 is not in Q18's answer yet
+  std::vector<Value> row = LineitemRow(li, first);
+  row[qty] = Value::F64(50);
+  li.Insert(row);
+
+  ExpectQ18Q21MatchMil(*db);
+  ExecContext ctx;
+  std::unique_ptr<Table> q18 = RunX100Query(18, &ctx, *db);
+  bool found = false;
+  for (int64_t r = 0; r < q18->num_rows(); r++) {
+    if (q18->GetValue(r, q18->ColumnIndex("o_orderkey")).AsI64() != 29) {
+      continue;
+    }
+    found = true;
+    EXPECT_EQ(q18->GetValue(r, q18->ColumnIndex("sum_qty")).AsF64(),
+              sum_qty + 50);
+  }
+  EXPECT_EQ(found, sum_qty + 50 > 300.0);
+  ExpectPerOrderAggr(ExecContext(), *db, "HashAggr");
+}
+
+TEST(TpchUpdates, PerOrderQueriesMatchMilAfterAppendAboveMaxKey) {
+  // A new order above every existing key keeps lineitem clustered: the
+  // per-order aggregations stay ordered and still see the new lines. The
+  // order is built to qualify for both queries: 7 x 50 units (Q18's
+  // threshold is 300), status F, two suppliers, and only the Saudi one late.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  Table& orders = db->Get("orders");
+  Table& li = db->Get("lineitem");
+  const int ok = li.ColumnIndex("l_orderkey");
+  const int64_t last = li.num_rows() - 1;
+  const int32_t new_key = static_cast<int32_t>(orders.num_rows() + 1);
+  ASSERT_EQ(li.GetValue(last, ok).AsI64() + 1, new_key);
+
+  const Table& supplier = db->Get("supplier");
+  const Table& nation = db->Get("nation");
+  int32_t saudi = -1;
+  for (int64_t r = 0; r < supplier.num_rows() && saudi < 0; r++) {
+    int64_t n = supplier.GetValue(
+        r, supplier.ColumnIndex(Table::JoinIndexName("nation"))).AsI64();
+    if (nation.GetValue(n, nation.ColumnIndex("n_name")).AsStr() ==
+        "SAUDI ARABIA") {
+      saudi = static_cast<int32_t>(
+          supplier.GetValue(r, supplier.ColumnIndex("s_suppkey")).AsI64());
+    }
+  }
+  ASSERT_GT(saudi, 0);
+
+  std::vector<Value> order;
+  for (int c = 0; c < orders.num_columns(); c++) {
+    order.push_back(orders.GetValue(orders.num_rows() - 1, c));
+  }
+  order[orders.ColumnIndex("o_orderkey")] = Value::I32(new_key);
+  order[orders.ColumnIndex("o_orderstatus")] = Value::I8('F');
+  orders.Insert(order);
+
+  const int commit = li.ColumnIndex("l_commitdate");
+  const int receipt = li.ColumnIndex("l_receiptdate");
+  for (int i = 0; i < 7; i++) {
+    std::vector<Value> row = LineitemRow(li, last);
+    row[ok] = Value::I32(new_key);
+    row[li.ColumnIndex("l_quantity")] = Value::F64(50);
+    row[li.ColumnIndex("l_suppkey")] = Value::I32(i == 0 ? saudi : saudi % 10 + 1);
+    int32_t c = static_cast<int32_t>(row[commit].AsI64());
+    row[receipt] = Value::Date(i == 0 ? c + 5 : c - 1);
+    li.Insert(row);
+  }
+
+  ExpectQ18Q21MatchMil(*db);
+  ExecContext ctx;
+  std::unique_ptr<Table> q18 = RunX100Query(18, &ctx, *db);
+  bool found = false;
+  for (int64_t r = 0; r < q18->num_rows(); r++) {
+    found |= q18->GetValue(r, q18->ColumnIndex("o_orderkey")).AsI64() == new_key;
+  }
+  EXPECT_TRUE(found);
+  ExpectPerOrderAggr(ExecContext(), *db, "OrdAggr");
+}
+
+TEST(TpchPlans, PerOrderSubPlansRunOnOrderedAggregation) {
+  // dbgen data is clustered on l_orderkey: a silent fallback to HashAggr
+  // (the clustering check failing) must fail here, not just run slower.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  ExpectPerOrderAggr(ExecContext(), *db, "OrdAggr");
+  ExecContext small;
+  small.vector_size = 7;
+  ExpectPerOrderAggr(small, *db, "OrdAggr");
+}
+
+TEST(TpchPlans, Q21MinMaxPlanBitIdenticalToDistinctCountPlan) {
+  // The plan Q21 replaced: distinct (l_orderkey, l_suppkey) pairs, then a
+  // count per order, each through HashAggr. Min/max per order must select
+  // exactly the same orders, in the same order.
+  DbgenOptions opts;
+  opts.scale_factor = 0.02;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  ExecContext ctx;
+  using namespace x100::exprs;
+  using tpch_x100::AG;
+  using tpch_x100::NE;
+  const Table& lineitem = db->Get("lineitem");
+
+  auto distinct_count = [&](plan::OpPtr pairs, const char* cnt) {
+    pairs = plan::HashAggr(&ctx, std::move(pairs), {"l_orderkey", "l_suppkey"},
+                           {});
+    return plan::HashAggr(&ctx, std::move(pairs), {"l_orderkey"},
+                          AG(CountAll(cnt)));
+  };
+  auto multi = distinct_count(
+      plan::Scan(&ctx, lineitem, {"l_orderkey", "l_suppkey"}), "nsupp");
+  multi = plan::Select(&ctx, std::move(multi), Ge(Col("nsupp"), LitI64(2)));
+  std::unique_ptr<Table> multi_old = RunPlan(
+      plan::Project(&ctx, std::move(multi), NE(Pass("l_orderkey"))), "multi");
+
+  auto late = plan::Scan(&ctx, lineitem,
+                         {"l_orderkey", "l_suppkey", "l_commitdate",
+                          "l_receiptdate"});
+  late = plan::Select(&ctx, std::move(late),
+                      Gt(Col("l_receiptdate"), Col("l_commitdate")));
+  std::unique_ptr<Table> latet = RunPlan(
+      plan::Project(&ctx, std::move(late),
+                    NE(Pass("l_orderkey"), Pass("l_suppkey"))),
+      "late");
+  auto single = distinct_count(
+      plan::Scan(&ctx, *latet, {"l_orderkey", "l_suppkey"}), "nlate");
+  single = plan::Select(&ctx, std::move(single), Eq(Col("nlate"), LitI64(1)));
+  std::unique_ptr<Table> single_old = RunPlan(
+      plan::Project(&ctx, std::move(single), NE(Pass("l_orderkey"))),
+      "single");
+
+  std::unique_ptr<Table> multi_new =
+      tpch_x100::Q21MultiSupplierOrders(&ctx, *db);
+  std::unique_ptr<Table> single_new =
+      tpch_x100::Q21SingleSupplierOrders(&ctx, *latet);
+  ASSERT_GT(multi_new->num_rows(), 0);
+  ASSERT_GT(single_new->num_rows(), 0);
+  ExpectTablesEqual(*multi_old, *multi_new, 0.0);
+  ExpectTablesEqual(*single_old, *single_new, 0.0);
+
+  auto saudi = plan::Scan(&ctx, db->Get("supplier"),
+                          {"s_suppkey", "s_name",
+                           Table::JoinIndexName("nation")});
+  saudi = plan::Fetch1Join(&ctx, std::move(saudi), db->Get("nation"),
+                           Table::JoinIndexName("nation"),
+                           {{"n_name", "n_name"}});
+  saudi = plan::Select(&ctx, std::move(saudi),
+                       Eq(Col("n_name"), LitStr("SAUDI ARABIA")));
+  std::unique_ptr<Table> saudit = RunPlan(
+      plan::Project(&ctx, std::move(saudi),
+                    NE(Pass("s_suppkey"), Pass("s_name"))),
+      "saudi");
+  auto fo = plan::Scan(&ctx, db->Get("orders"), {"o_orderkey", "o_orderstatus"});
+  fo = plan::Select(&ctx, std::move(fo), Eq(Col("o_orderstatus"), LitChar('F')));
+  fo = plan::Project(&ctx, std::move(fo), NE(Pass("o_orderkey")));
+  auto l1 = plan::Join(&ctx, plan::Scan(&ctx, *latet, {"l_orderkey", "l_suppkey"}),
+                       plan::Scan(&ctx, *saudit, {"s_suppkey", "s_name"}),
+                       {.probe_keys = {"l_suppkey"},
+                        .build_keys = {"s_suppkey"},
+                        .probe_out = {"l_orderkey"},
+                        .build_out = {"s_name"}});
+  l1 = plan::SemiJoin(&ctx, std::move(l1), std::move(fo),
+                      {.probe_keys = {"l_orderkey"},
+                       .build_keys = {"o_orderkey"},
+                       .probe_out = {"l_orderkey", "s_name"}});
+  l1 = plan::SemiJoin(&ctx, std::move(l1),
+                      plan::Scan(&ctx, *multi_old, {"l_orderkey"}),
+                      {.probe_keys = {"l_orderkey"},
+                       .build_keys = {"l_orderkey"},
+                       .probe_out = {"l_orderkey", "s_name"}});
+  l1 = plan::SemiJoin(&ctx, std::move(l1),
+                      plan::Scan(&ctx, *single_old, {"l_orderkey"}),
+                      {.probe_keys = {"l_orderkey"},
+                       .build_keys = {"l_orderkey"},
+                       .probe_out = {"s_name"}});
+  l1 = plan::HashAggr(&ctx, std::move(l1), {"s_name"},
+                      AG(CountAll("numwait")));
+  l1 = plan::TopN(&ctx, std::move(l1), {Desc("numwait"), Asc("s_name")}, 100);
+  std::unique_ptr<Table> old_q21 = RunPlan(std::move(l1), "q21_old");
+
+  std::unique_ptr<Table> new_q21 = RunX100Query(21, &ctx, *db);
+  ASSERT_GT(new_q21->num_rows(), 0);
+  ExpectTablesEqual(*old_q21, *new_q21, 0.0);
 }
 
 TEST(TpchTrace, MilQ1TraceHasTwentyStatements) {
