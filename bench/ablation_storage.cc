@@ -75,10 +75,12 @@ int main() {
   Table& li = db->Get("lineitem");
   int32_t lo = ParseDate("1994-03-01"), hi = ParseDate("1994-03-31");
   auto run = [&](bool use_sma) {
-    auto scan = std::make_unique<ScanOp>(
-        &ctx, li, std::vector<std::string>{"l_shipdate", "l_extendedprice"});
-    if (use_sma) scan->RestrictRange("l_shipdate", lo, hi);
-    plan::OpPtr op = std::move(scan);
+    ScanSpec spec{.cols = {"l_shipdate", "l_extendedprice"}};
+    if (use_sma) {
+      spec.range = ScanSpec::Range{"l_shipdate", static_cast<double>(lo),
+                                   static_cast<double>(hi)};
+    }
+    plan::OpPtr op = std::make_unique<ScanOp>(&ctx, li, std::move(spec));
     op = plan::Select(&ctx, std::move(op),
                       Between(Col("l_shipdate"), Lit(Value::Date(lo)),
                               Lit(Value::Date(hi))));

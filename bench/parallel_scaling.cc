@@ -1,4 +1,4 @@
-// Xchg scaling: Q1 and Q6 (the queries with Exchange-parallel plans) at
+// Xchg scaling: Q1 and Q6 (scan-bound queries with Exchange-parallel plans) at
 // 1/2/4 workers over the same in-memory database. The paper's conclusion
 // (§6) names Volcano-style Xchg parallelism as the route to scaling X100;
 // this bench records how far the morsel-parallel scan + partial-aggregation

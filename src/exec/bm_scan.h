@@ -12,6 +12,7 @@
 
 namespace x100 {
 
+class Catalog;
 struct TraceNode;
 
 /// Options for one ColumnBM scan (mirrors ScanSpec for plan::BmScan):
@@ -41,6 +42,19 @@ struct BmScanSpec {
   /// re-decoding. Only engaged where it saves work — disk-backed reads and
   /// codec decodes; memory-backend raw blocks are zero-copy already.
   bool shared = true;
+};
+
+/// ColumnBM as the source of a plan's base tables (ExecContext::bm_source):
+/// plan::Scan reads every table of `catalog` through `bm`, stored on first
+/// use with `compress`/`codec` as in BmScanSpec. Any other table, such as a
+/// materialized sub-plan result, is still scanned from RAM: ColumnBM stores
+/// a file once per name, so a stored intermediate would be served stale on
+/// the next run.
+struct BmSource {
+  ColumnBm* bm = nullptr;
+  const Catalog* catalog = nullptr;
+  bool compress = false;
+  std::optional<CodecId> codec;
 };
 
 /// Scan over ColumnBM block storage — the paper's goal (iii): the same
@@ -74,13 +88,6 @@ class BmScanOp : public Operator {
   /// without Close(), and the tasks hold raw ColumnBm pointers and pool
   /// pins that must not outlive the operator tree's teardown.
   ~BmScanOp() override;
-
-  /// Back-compat positional form: full-table scan, prefetch on.
-  BmScanOp(ExecContext* ctx, ColumnBm* bm, const Table& table,
-           std::vector<std::string> cols, bool compress)
-      : BmScanOp(ctx, bm, table,
-                 BmScanSpec{std::move(cols), compress, std::nullopt, {},
-                            true}) {}
 
   const Schema& schema() const override { return schema_; }
   void Open() override;

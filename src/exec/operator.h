@@ -10,6 +10,7 @@
 namespace x100 {
 
 class QueryTrace;
+struct BmSource;
 struct SnapshotSet;
 
 /// Per-query execution settings shared by all operators of a plan.
@@ -33,11 +34,17 @@ struct ExecContext {
   /// InstrumentedOperator recording per-plan-node calls/batches/tuples/cycles
   /// — the EXPLAIN ANALYZE tree. Null disables per-node tracing.
   QueryTrace* trace = nullptr;
-  /// Intra-query parallelism budget (the paper's Xchg route, §6). Plans that
-  /// have a parallel variant (tpch Q1/Q6) run it through an ExchangeOp with
-  /// this many workers when > 1; 1 keeps every plan single-threaded. Wired
-  /// to env X100_THREADS by the runner and benches (EnvParallelism()).
+  /// Intra-query parallelism budget (the paper's Xchg route, §6). Plans
+  /// built through plan::PartialAggr (tpch Q1/Q3/Q6/Q14) run their
+  /// aggregating pipeline through an ExchangeOp with this many workers when
+  /// > 1; 1 keeps every plan single-threaded. Wired to env X100_THREADS by
+  /// the runner and benches (EnvParallelism()).
   int num_threads = 1;
+  /// Base-table storage (exec/bm_scan.h). When set, plan::Scan reads the
+  /// tables of its catalog from ColumnBM blocks instead of RAM fragments;
+  /// null reads RAM. Exchange workers inherit it with the rest of the
+  /// context.
+  const BmSource* bm_source = nullptr;
   /// Per-query cancellation/deadline token (common/cancel.h), owned by the
   /// submitter (QueryService session, runner, test). Source operators and
   /// Exchange poll it once per vector via CheckCancel(); null disables

@@ -9,8 +9,15 @@
 // out pre-wired for EXPLAIN ANALYZE. Operator options travel in spec structs
 // (ScanSpec, JoinSpec) so factories stay single-signature and call sites use
 // designated initializers instead of positional argument lists.
+//
+// Where a plan reads from and how many threads run it are properties of
+// this layer, not of each plan: plan::Scan serves base tables from ColumnBM
+// when ExecContext::bm_source is set, and plan::PartialAggr builds the
+// serial or the Exchange form of an aggregating pipeline from one factory.
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,29 +31,37 @@
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "exec/trace.h"
+#include "storage/catalog.h"
 
 namespace x100::plan {
 
 using OpPtr = std::unique_ptr<Operator>;
 
-/// Table scan configured by a ScanSpec (columns + optional summary-index
-/// range, #rowId emission, and morsel share — see exec/scan.h).
-inline OpPtr Scan(ExecContext* ctx, const Table& t, ScanSpec spec) {
-  std::string detail = t.name();
-  if (spec.range) detail += " range:" + spec.range->col;
-  if (!spec.rowid.empty()) detail += " +rowid";
-  if (spec.morsel.num_workers > 1) {
-    detail += " morsel " + std::to_string(spec.morsel.worker) + "/" +
-              std::to_string(spec.morsel.num_workers);
+/// Wraps `op` in an InstrumentedOperator when tracing (MaybeTrace). An
+/// operator that publishes its own counters at Close() (it has
+/// set_trace_node) is also handed the new trace node.
+template <typename Op>
+OpPtr Traced(ExecContext* ctx, std::unique_ptr<Op> op, std::string label,
+             std::string detail = "",
+             std::vector<const Operator*> children = {}) {
+  Op* raw = op.get();
+  OpPtr wrapped = MaybeTrace(ctx, std::move(op), std::move(label),
+                             std::move(detail), std::move(children));
+  if constexpr (requires(Op* o) { o->set_trace_node(nullptr); }) {
+    if (ctx->trace != nullptr) {
+      raw->set_trace_node(
+          static_cast<InstrumentedOperator*>(wrapped.get())->node());
+    }
   }
-  auto s = std::make_unique<ScanOp>(ctx, t, std::move(spec));
-  return MaybeTrace(ctx, std::move(s), "Scan", std::move(detail), {});
+  return wrapped;
 }
 
-/// Convenience: full-table scan of `cols`.
-inline OpPtr Scan(ExecContext* ctx, const Table& t,
-                  std::vector<std::string> cols) {
-  return Scan(ctx, t, ScanSpec{.cols = std::move(cols)});
+/// Scan trace detail for a morsel share: " morsel w/n", or "" for a whole
+/// table.
+inline std::string MorselDetail(ScanSpec::Morsel m) {
+  if (m.num_workers <= 1) return "";
+  return " morsel " + std::to_string(m.worker) + "/" +
+         std::to_string(m.num_workers);
 }
 
 /// ColumnBM block scan configured by a BmScanSpec (columns + compression,
@@ -59,43 +74,54 @@ inline OpPtr BmScan(ExecContext* ctx, ColumnBm* bm, const Table& t,
     detail += spec.codec ? " " + std::string(Codec::Name(*spec.codec)) : " cmp";
   }
   if (bm->disk_backed()) detail += " disk";
-  if (spec.morsel.num_workers > 1) {
-    detail += " morsel " + std::to_string(spec.morsel.worker) + "/" +
-              std::to_string(spec.morsel.num_workers);
+  detail += MorselDetail(spec.morsel);
+  auto op = std::make_unique<BmScanOp>(ctx, bm, t, std::move(spec));
+  return Traced(ctx, std::move(op), "BmScan", std::move(detail));
+}
+
+/// Table scan configured by a ScanSpec (columns + optional summary-index
+/// range, #rowId emission, and morsel share — see exec/scan.h). When
+/// ctx->bm_source is set and `t` is one of its catalog's tables, the scan
+/// reads ColumnBM blocks (BmScan) instead of RAM fragments. BmScan has no
+/// summary index, so it drops `spec.range`; that is exact because a plan's
+/// Select always applies the exact predicate.
+inline OpPtr Scan(ExecContext* ctx, const Table& t, ScanSpec spec) {
+  const BmSource* src = ctx->bm_source;
+  if (src != nullptr && src->catalog->Find(t.name()) == &t) {
+    if (!spec.rowid.empty()) {
+      throw std::invalid_argument("Scan: ColumnBM scans of '" + t.name() +
+                                  "' cannot emit #rowId");
+    }
+    return BmScan(ctx, src->bm, t,
+                  {.cols = std::move(spec.cols),
+                   .compress = src->compress,
+                   .codec = src->codec,
+                   .morsel = spec.morsel});
   }
-  auto s = std::make_unique<BmScanOp>(ctx, bm, t, std::move(spec));
-  BmScanOp* raw = s.get();
-  OpPtr wrapped =
-      MaybeTrace(ctx, std::move(s), "BmScan", std::move(detail), {});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  std::string detail = t.name();
+  if (spec.range) detail += " range:" + spec.range->col;
+  if (!spec.rowid.empty()) detail += " +rowid";
+  detail += MorselDetail(spec.morsel);
+  auto op = std::make_unique<ScanOp>(ctx, t, std::move(spec));
+  return Traced(ctx, std::move(op), "Scan", std::move(detail));
+}
+
+/// Convenience: full-table scan of `cols`.
+inline OpPtr Scan(ExecContext* ctx, const Table& t,
+                  std::vector<std::string> cols) {
+  return Scan(ctx, t, ScanSpec{.cols = std::move(cols)});
 }
 
 inline OpPtr Select(ExecContext* ctx, OpPtr child, ExprPtr pred) {
   const Operator* c = child.get();
   auto op = std::make_unique<SelectOp>(ctx, std::move(child), std::move(pred));
-  SelectOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), "Select", "", {c});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "Select", "", {c});
 }
 
 inline OpPtr Project(ExecContext* ctx, OpPtr child, std::vector<NamedExpr> e) {
   const Operator* c = child.get();
   auto op = std::make_unique<ProjectOp>(ctx, std::move(child), std::move(e));
-  ProjectOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), "Project", "", {c});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "Project", "", {c});
 }
 
 inline OpPtr HashAggr(ExecContext* ctx, OpPtr child,
@@ -104,13 +130,7 @@ inline OpPtr HashAggr(ExecContext* ctx, OpPtr child,
   const Operator* c = child.get();
   auto op = std::make_unique<HashAggrOp>(ctx, std::move(child),
                                          std::move(group_by), std::move(aggrs));
-  HashAggrOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), "HashAggr", "", {c});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "HashAggr", "", {c});
 }
 
 inline OpPtr DirectAggr(ExecContext* ctx, OpPtr child,
@@ -120,13 +140,7 @@ inline OpPtr DirectAggr(ExecContext* ctx, OpPtr child,
   auto op = std::make_unique<DirectAggrOp>(ctx, std::move(child),
                                            std::move(group_by),
                                            std::move(aggrs));
-  DirectAggrOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), "DirectAggr", "", {c});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "DirectAggr", "", {c});
 }
 
 inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
@@ -135,13 +149,7 @@ inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
   const Operator* c = child.get();
   auto op = std::make_unique<OrdAggrOp>(ctx, std::move(child),
                                         std::move(group_by), std::move(aggrs));
-  OrdAggrOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), "OrdAggr", "", {c});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "OrdAggr", "", {c});
 }
 
 /// Grouped aggregation over rows that come from `source` in scan order
@@ -180,13 +188,7 @@ inline OpPtr Join(ExecContext* ctx, OpPtr probe, OpPtr build, JoinSpec spec) {
                                                      : "HashJoin";
   auto op = std::make_unique<HashJoinOp>(ctx, std::move(probe),
                                          std::move(build), std::move(spec));
-  HashJoinOp* raw = op.get();
-  OpPtr wrapped = MaybeTrace(ctx, std::move(op), label, "", {p, b});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), label, "", {p, b});
 }
 
 inline OpPtr SemiJoin(ExecContext* ctx, OpPtr probe, OpPtr build,
@@ -208,7 +210,7 @@ inline OpPtr Fetch1Join(ExecContext* ctx, OpPtr child, const Table& target,
   auto op = std::make_unique<Fetch1JoinOp>(ctx, std::move(child), target,
                                            std::move(rowid_col),
                                            std::move(fetch));
-  return MaybeTrace(ctx, std::move(op), "Fetch1Join", target.name(), {c});
+  return Traced(ctx, std::move(op), "Fetch1Join", target.name(), {c});
 }
 
 inline OpPtr CartProd(ExecContext* ctx, OpPtr probe, OpPtr build,
@@ -219,20 +221,20 @@ inline OpPtr CartProd(ExecContext* ctx, OpPtr probe, OpPtr build,
   auto op = std::make_unique<CartProdOp>(ctx, std::move(probe),
                                          std::move(build), std::move(probe_out),
                                          std::move(build_out));
-  return MaybeTrace(ctx, std::move(op), "CartProd", "", {p, b});
+  return Traced(ctx, std::move(op), "CartProd", "", {p, b});
 }
 
 inline OpPtr TopN(ExecContext* ctx, OpPtr child, std::vector<OrdKey> keys,
                   int64_t n) {
   const Operator* c = child.get();
   auto op = std::make_unique<TopNOp>(ctx, std::move(child), std::move(keys), n);
-  return MaybeTrace(ctx, std::move(op), "TopN", std::to_string(n), {c});
+  return Traced(ctx, std::move(op), "TopN", std::to_string(n), {c});
 }
 
 inline OpPtr Order(ExecContext* ctx, OpPtr child, std::vector<OrdKey> keys) {
   const Operator* c = child.get();
   auto op = std::make_unique<OrderOp>(ctx, std::move(child), std::move(keys));
-  return MaybeTrace(ctx, std::move(op), "Order", "", {c});
+  return Traced(ctx, std::move(op), "Order", "", {c});
 }
 
 /// Xchg (§6): runs `num_workers` pipelines built by `factory` on pool
@@ -242,15 +244,28 @@ inline OpPtr Exchange(ExecContext* ctx, int num_workers, WorkerPlanFn factory,
                       int queue_capacity = 0) {
   auto op = std::make_unique<ExchangeOp>(ctx, num_workers, std::move(factory),
                                          queue_capacity);
-  ExchangeOp* raw = op.get();
-  OpPtr wrapped =
-      MaybeTrace(ctx, std::move(op), "Exchange",
-                 "workers=" + std::to_string(num_workers), {});
-  if (ctx->trace != nullptr) {
-    raw->set_trace_node(
-        static_cast<InstrumentedOperator*>(wrapped.get())->node());
-  }
-  return wrapped;
+  return Traced(ctx, std::move(op), "Exchange",
+                "workers=" + std::to_string(num_workers));
+}
+
+/// Builds the pipeline that scans one morsel (a ScanSpec share) under `ctx`.
+using MorselPlanFn = std::function<OpPtr(ExecContext*, ScanSpec::Morsel)>;
+
+/// One plan at any thread count (Xchg, §6). `pipeline` scans a morsel and
+/// ends in a partial aggregation by `groups` with `aggrs`. At
+/// ctx->num_threads <= 1 the result is that pipeline over the whole table.
+/// Otherwise ctx->num_threads copies run under an Exchange, one morsel
+/// each, and a HashAggr over MergeAggrSpecs(aggrs) merges their partials.
+inline OpPtr PartialAggr(ExecContext* ctx, std::vector<std::string> groups,
+                         const std::vector<AggrSpec>& aggrs,
+                         const MorselPlanFn& pipeline) {
+  if (ctx->num_threads <= 1) return pipeline(ctx, {});
+  OpPtr op = Exchange(ctx, ctx->num_threads,
+                      [&pipeline](ExecContext* wctx, int w, int n) {
+                        return pipeline(wctx, {w, n});
+                      });
+  return HashAggr(ctx, std::move(op), std::move(groups),
+                  MergeAggrSpecs(aggrs));
 }
 
 }  // namespace x100::plan

@@ -6,17 +6,13 @@
 namespace x100 {
 
 ScanOp::ScanOp(ExecContext* ctx, const Table& table, ScanSpec spec)
-    : ScanOp(ctx, table, std::move(spec.cols)) {
-  if (spec.range) RestrictRange(spec.range->col, spec.range->lo, spec.range->hi);
-  if (!spec.rowid.empty()) EmitRowId(spec.rowid);
-  if (spec.morsel.num_workers > 1) {
-    RestrictMorsel(spec.morsel.worker, spec.morsel.num_workers);
-  }
-}
-
-ScanOp::ScanOp(ExecContext* ctx, const Table& table, std::vector<std::string> cols)
-    : ctx_(ctx), table_(table) {
-  for (const std::string& name : cols) {
+    : ctx_(ctx),
+      table_(table),
+      range_(std::move(spec.range)),
+      morsel_(spec.morsel) {
+  X100_CHECK(morsel_.num_workers >= 1 && morsel_.worker >= 0 &&
+             morsel_.worker < morsel_.num_workers);
+  for (const std::string& name : spec.cols) {
     int ci = table.ColumnIndex(name);
     col_idx_.push_back(ci);
     const Column& col = table.column(ci);
@@ -29,26 +25,15 @@ ScanOp::ScanOp(ExecContext* ctx, const Table& table, std::vector<std::string> co
     }
     schema_.Add(f);
   }
+  if (!spec.rowid.empty()) {
+    rowid_field_ = schema_.num_fields();
+    schema_.Add(spec.rowid, TypeId::kI64);
+  }
 }
 
-void ScanOp::EmitRowId(const std::string& name) {
-  X100_CHECK(!emit_rowid_);
-  emit_rowid_ = true;
-  rowid_field_ = schema_.num_fields();
-  schema_.Add(name, TypeId::kI64);
-}
-
-void ScanOp::RestrictRange(const std::string& col, double lo, double hi) {
-  restricted_ = true;
-  restrict_col_ = col;
-  restrict_lo_ = lo;
-  restrict_hi_ = hi;
-}
-
-void ScanOp::RestrictMorsel(int worker, int num_workers) {
-  X100_CHECK(num_workers >= 1 && worker >= 0 && worker < num_workers);
-  morsel_ = {worker, num_workers};
-}
+ScanOp::ScanOp(ExecContext* ctx, const Table& table,
+               std::vector<std::string> cols)
+    : ScanOp(ctx, table, ScanSpec{.cols = std::move(cols)}) {}
 
 void ScanOp::Open() {
   // Under MVCC serving, every bound — fragment rows, delta high-water mark,
@@ -71,11 +56,11 @@ void ScanOp::Open() {
 
   frag_begin_ = 0;
   frag_end_ = frag_rows_;
-  if (restricted_) {
-    int ci = table_.ColumnIndex(restrict_col_);
+  if (range_) {
+    int ci = table_.ColumnIndex(range_->col);
     const SummaryIndex* sma = table_.summary_index(ci);
     if (sma != nullptr) {
-      SummaryIndex::RowRange r = sma->Range(restrict_lo_, restrict_hi_);
+      SummaryIndex::RowRange r = sma->Range(range_->lo, range_->hi);
       frag_begin_ = r.begin;
       frag_end_ = r.end;
     }
@@ -105,7 +90,7 @@ void ScanOp::Open() {
     if (i == rowid_field_) continue;
     copy_bufs_.emplace_back(schema_.field(i).type, ctx_->vector_size);
   }
-  if (emit_rowid_) rowid_buf_.Allocate(TypeId::kI64, ctx_->vector_size);
+  if (rowid_field_ >= 0) rowid_buf_.Allocate(TypeId::kI64, ctx_->vector_size);
   stats_ = ctx_->profiler ? ctx_->profiler->GetStats("Scan") : nullptr;
 
   if (delta_end_ > delta_begin_) {
@@ -175,7 +160,7 @@ VectorBatch* ScanOp::Next() {
       bi++;
     }
     int count = ndel == 0 ? static_cast<int>(n) : out;
-    if (emit_rowid_) {
+    if (rowid_field_ >= 0) {
       int64_t* ids = rowid_buf_.Data<int64_t>();
       auto d = dbegin;
       int k = 0;

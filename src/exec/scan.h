@@ -58,18 +58,6 @@ class ScanOp : public Operator {
   /// Convenience: full-table scan of `cols`.
   ScanOp(ExecContext* ctx, const Table& table, std::vector<std::string> cols);
 
-  /// Narrows the fragment region via the summary index on `col` (§4.3):
-  /// only #rowIds that may satisfy lo <= col <= hi are scanned. No-op if the
-  /// table has no summary index on `col`. The delta region is always scanned;
-  /// the plan's Select still applies the exact predicate.
-  void RestrictRange(const std::string& col, double lo, double hi);
-
-  /// Also emit the virtual #rowId as an i64 column named `name`.
-  void EmitRowId(const std::string& name);
-
-  /// Restricts the scan to worker `worker`'s morsel of `num_workers`.
-  void RestrictMorsel(int worker, int num_workers);
-
   const Schema& schema() const override { return schema_; }
   void Open() override;
   VectorBatch* Next() override;
@@ -79,13 +67,13 @@ class ScanOp : public Operator {
   const Table& table_;
   std::vector<int> col_idx_;
   Schema schema_;
-  bool emit_rowid_ = false;
-  int rowid_field_ = -1;
+  int rowid_field_ = -1;  // #rowId output field, or -1
 
-  // Range restriction (resolved against the summary index at Open).
-  bool restricted_ = false;
-  std::string restrict_col_;
-  double restrict_lo_ = 0, restrict_hi_ = 0;
+  // Summary-index range: only #rowIds that may satisfy lo <= col <= hi are
+  // scanned (resolved at Open; no-op without a summary index on col). The
+  // delta region is always scanned; the plan's Select applies the exact
+  // predicate.
+  std::optional<ScanSpec::Range> range_;
 
   // Morsel restriction (resolved after SMA pruning at Open).
   ScanSpec::Morsel morsel_;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "tpch/queries.h"
+
 namespace x100 {
 
 int QueryRequest::TpchQueryNumber() const {
@@ -35,8 +37,7 @@ std::string QueryRequest::Validate() const {
     return "fuse out of range [-1, 1]";
   }
   if (engine == QueryEngine::kDisk) {
-    int q = TpchQueryNumber();
-    if (q != 1 && q != 3 && q != 6 && q != 14) {
+    if (!HasDiskPlan(TpchQueryNumber())) {
       return "disk engine serves only TPC-H q1/q3/q6/q14, not '" + query +
              "'";
     }

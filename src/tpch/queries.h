@@ -21,12 +21,22 @@ inline constexpr int kNumTpchQueries = 22;
 /// subqueries become materialized sub-plans.
 std::unique_ptr<Table> RunX100Query(int q, ExecContext* ctx, const Catalog& db);
 
-/// Disk-backed variants of Q1, Q3, Q6 and Q14: the same plans fed from
-/// ColumnBM blocks through `bm` (optionally codec-compressed; `codec` pins
-/// one codec for every block, else each block gets the cheapest by sampled
-/// trial-encode) instead of in-RAM fragments. With ctx->num_threads > 1 the
-/// block scans run morsel-parallel under an Exchange. Results are
-/// bit-identical to RunX100Query(q, ...).
+/// True for the queries RunX100QueryDisk serves: Q1, Q3, Q6 and Q14. Their
+/// only base-table scans read lineitem's numeric, date and join-index
+/// columns. Most other plans also scan plain (non-enum) string columns,
+/// which ColumnBM cannot store as blocks.
+inline constexpr bool HasDiskPlan(int q) {
+  return q == 1 || q == 3 || q == 6 || q == 14;
+}
+
+/// RunX100Query(q, ...) with the catalog's tables served from ColumnBM
+/// blocks through `bm` instead of in-RAM fragments (ExecContext::bm_source;
+/// `compress` codec-compresses the blocks, and `codec` pins one codec for
+/// every block, else each block gets the cheapest by sampled trial-encode).
+/// The plan is the same one, so ctx->num_threads > 1 runs the block scans
+/// morsel-parallel under the same Exchange, and serial results are
+/// bit-identical to RunX100Query(q, ...). Throws std::invalid_argument
+/// unless HasDiskPlan(q).
 class ColumnBm;
 std::unique_ptr<Table> RunX100QueryDisk(
     int q, ExecContext* ctx, const Catalog& db, ColumnBm* bm,

@@ -24,10 +24,11 @@ const double kInf = 1e300;
 
 // ---- Q1: pricing summary report --------------------------------------------
 //
-// With ctx->num_threads > 1 the scan+select+partial-aggregation pipeline is
-// cloned across an Exchange (each worker aggregating its morsel of
-// lineitem); one HashAggr above the exchange merges the per-worker partials.
-// The group count is tiny (≤ 6), so partial merge is essentially free.
+// One plan at any thread count (PartialAggr): with ctx->num_threads > 1 the
+// scan+select+partial-aggregation pipeline is cloned across an Exchange
+// (each worker aggregating its morsel of lineitem) and one HashAggr above
+// the exchange merges the per-worker partials. The group count is tiny
+// (<= 6), so the merge is essentially free.
 TablePtr Q1(ExecContext* ctx, const Catalog& db) {
   double hi = ParseDate("1998-09-02");
   const std::vector<std::string> cols = {
@@ -46,30 +47,18 @@ TablePtr Q1(ExecContext* ctx, const Catalog& db) {
                     Col("l_extendedprice")))),
         Sum("sum_disc", Col("l_discount")), CountAll("count_order"));
   };
+  const Table& li = db.Get("lineitem");
 
-  OpPtr op;
-  if (ctx->num_threads > 1) {
-    const Table& li = db.Get("lineitem");
-    op = Exchange(ctx, ctx->num_threads,
-                  [&](ExecContext* wctx, int w, int n) {
-                    auto s = Scan(wctx, li,
-                                  {.cols = cols,
-                                   .range = ScanSpec::Range{"l_shipdate",
-                                                            -kInf, hi},
-                                   .morsel = {w, n}});
-                    s = Select(wctx, std::move(s),
-                               Le(Col("l_shipdate"), LitDate("1998-09-02")));
-                    return DirectAggr(wctx, std::move(s), groups, aggrs());
-                  });
-    op = HashAggr(ctx, std::move(op), groups, MergeAggrSpecs(aggrs()));
-  } else {
-    op = Scan(ctx, db.Get("lineitem"),
-              {.cols = cols,
-               .range = ScanSpec::Range{"l_shipdate", -kInf, hi}});
-    op = Select(ctx, std::move(op),
-                Le(Col("l_shipdate"), LitDate("1998-09-02")));
-    op = DirectAggr(ctx, std::move(op), groups, aggrs());
-  }
+  OpPtr op = PartialAggr(
+      ctx, groups, aggrs(), [&](ExecContext* c, ScanSpec::Morsel m) {
+        auto s = Scan(c, li,
+                      {.cols = cols,
+                       .range = ScanSpec::Range{"l_shipdate", -kInf, hi},
+                       .morsel = m});
+        s = Select(c, std::move(s),
+                   Le(Col("l_shipdate"), LitDate("1998-09-02")));
+        return DirectAggr(c, std::move(s), groups, aggrs());
+      });
   op = Project(
       ctx, std::move(op),
       NE(Pass("l_returnflag"), Pass("l_linestatus"), Pass("sum_qty"),
@@ -152,24 +141,32 @@ TablePtr Q2(ExecContext* ctx, const Catalog& db) {
 
 // ---- Q3: shipping priority ---------------------------------------------------
 TablePtr Q3(ExecContext* ctx, const Catalog& db) {
-  auto li = Scan(ctx, db.Get("lineitem"),
-                 {"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate",
-                  kJiOrders});
-  li = Select(ctx, std::move(li), Gt(Col("l_shipdate"), LitDate("1995-03-15")));
-  li = Fetch1Join(ctx, std::move(li), db.Get("orders"), kJiOrders,
-                  {{"o_orderdate", "o_orderdate"},
-                   {"o_shippriority", "o_shippriority"},
-                   {kJiCustomer, "ji_c"}});
-  li = Select(ctx, std::move(li), Lt(Col("o_orderdate"), LitDate("1995-03-15")));
-  li = Fetch1Join(ctx, std::move(li), db.Get("customer"), "ji_c",
-                  {{"c_mktsegment", "c_mktsegment"}});
-  li = Select(ctx, std::move(li), Eq(Col("c_mktsegment"), LitStr("BUILDING")));
-  li = Project(ctx, std::move(li),
-               NE(Pass("l_orderkey"), Pass("o_orderdate"), Pass("o_shippriority"),
-                  As("rev", Rev())));
-  li = HashAggr(ctx, std::move(li),
-                {"l_orderkey", "o_orderdate", "o_shippriority"},
-                AG(Sum("revenue", Col("rev"))));
+  const std::vector<std::string> groups = {"l_orderkey", "o_orderdate",
+                                           "o_shippriority"};
+  auto aggrs = [] { return AG(Sum("revenue", Col("rev"))); };
+  auto li = PartialAggr(
+      ctx, groups, aggrs(), [&](ExecContext* c, ScanSpec::Morsel m) {
+        auto s = Scan(c, db.Get("lineitem"),
+                      {.cols = {"l_orderkey", "l_extendedprice", "l_discount",
+                                "l_shipdate", kJiOrders},
+                       .morsel = m});
+        s = Select(c, std::move(s),
+                   Gt(Col("l_shipdate"), LitDate("1995-03-15")));
+        s = Fetch1Join(c, std::move(s), db.Get("orders"), kJiOrders,
+                       {{"o_orderdate", "o_orderdate"},
+                        {"o_shippriority", "o_shippriority"},
+                        {kJiCustomer, "ji_c"}});
+        s = Select(c, std::move(s),
+                   Lt(Col("o_orderdate"), LitDate("1995-03-15")));
+        s = Fetch1Join(c, std::move(s), db.Get("customer"), "ji_c",
+                       {{"c_mktsegment", "c_mktsegment"}});
+        s = Select(c, std::move(s),
+                   Eq(Col("c_mktsegment"), LitStr("BUILDING")));
+        s = Project(c, std::move(s),
+                    NE(Pass("l_orderkey"), Pass("o_orderdate"),
+                       Pass("o_shippriority"), As("rev", Rev())));
+        return HashAggr(c, std::move(s), groups, aggrs());
+      });
   li = Project(ctx, std::move(li),
                NE(Pass("l_orderkey"), Pass("revenue"), Pass("o_orderdate"),
                   Pass("o_shippriority")));
@@ -232,45 +229,30 @@ TablePtr Q5(ExecContext* ctx, const Catalog& db) {
 
 // ---- Q6: forecasting revenue change --------------------------------------------
 //
-// Parallel variant mirrors Q1: per-worker scan/select/scalar-aggregate over a
-// lineitem morsel, merged by summing the single-row partials above the
-// Exchange.
+// Mirrors Q1: per-morsel scan/select/scalar-aggregate, merged by summing the
+// single-row partials above the Exchange when parallel.
 TablePtr Q6(ExecContext* ctx, const Catalog& db) {
   double lo = ParseDate("1994-01-01"), hi = ParseDate("1995-01-01") - 1;
-  const std::vector<std::string> cols = {"l_shipdate", "l_discount",
-                                         "l_quantity", "l_extendedprice"};
-  auto pred = [] {
-    return And(Ge(Col("l_shipdate"), LitDate("1994-01-01")),
-               And(Lt(Col("l_shipdate"), LitDate("1995-01-01")),
-                   And(Ge(Col("l_discount"), LitF64(0.05)),
-                       And(Le(Col("l_discount"), LitF64(0.07)),
-                           Lt(Col("l_quantity"), LitF64(24.0))))));
-  };
   auto aggrs = [] {
     return AG(
         Sum("revenue", Mul(Col("l_extendedprice"), Col("l_discount"))));
   };
-
-  OpPtr li;
-  if (ctx->num_threads > 1) {
-    const Table& t = db.Get("lineitem");
-    li = Exchange(ctx, ctx->num_threads,
-                  [&](ExecContext* wctx, int w, int n) {
-                    auto s = Scan(wctx, t,
-                                  {.cols = cols,
-                                   .range = ScanSpec::Range{"l_shipdate", lo,
-                                                            hi},
-                                   .morsel = {w, n}});
-                    s = Select(wctx, std::move(s), pred());
-                    return HashAggr(wctx, std::move(s), {}, aggrs());
-                  });
-    li = HashAggr(ctx, std::move(li), {}, MergeAggrSpecs(aggrs()));
-  } else {
-    li = Scan(ctx, db.Get("lineitem"),
-              {.cols = cols, .range = ScanSpec::Range{"l_shipdate", lo, hi}});
-    li = Select(ctx, std::move(li), pred());
-    li = HashAggr(ctx, std::move(li), {}, aggrs());
-  }
+  auto li = PartialAggr(
+      ctx, {}, aggrs(), [&](ExecContext* c, ScanSpec::Morsel m) {
+        auto s = Scan(c, db.Get("lineitem"),
+                      {.cols = {"l_shipdate", "l_discount", "l_quantity",
+                                "l_extendedprice"},
+                       .range = ScanSpec::Range{"l_shipdate", lo, hi},
+                       .morsel = m});
+        s = Select(
+            c, std::move(s),
+            And(Ge(Col("l_shipdate"), LitDate("1994-01-01")),
+                And(Lt(Col("l_shipdate"), LitDate("1995-01-01")),
+                    And(Ge(Col("l_discount"), LitF64(0.05)),
+                        And(Le(Col("l_discount"), LitF64(0.07)),
+                            Lt(Col("l_quantity"), LitF64(24.0)))))));
+        return HashAggr(c, std::move(s), {}, aggrs());
+      });
   return RunPlan(std::move(li), "q6");
 }
 

@@ -1,5 +1,7 @@
 // Hand-translated X100 algebra plans for TPC-H Q12-Q22 + the dispatcher.
 
+#include <stdexcept>
+
 #include "common/date.h"
 #include "tpch/queries.h"
 #include "tpch/queries_x100_internal.h"
@@ -80,20 +82,29 @@ TablePtr Q13(ExecContext* ctx, const Catalog& db) {
 }
 
 // ---- Q14: promotion effect -----------------------------------------------------
+//
+// The filtered+joined lineitem rows are pre-aggregated to rev per p_type
+// (one partial per morsel when parallel), so the materialized base holds one
+// row per part type; the promo and total sums read that.
 TablePtr Q14(ExecContext* ctx, const Catalog& db) {
   double lo = ParseDate("1995-09-01"), hi = ParseDate("1995-10-01") - 1;
-  auto li = Scan(ctx, db.Get("lineitem"),
-                 {.cols = {"l_shipdate", "l_extendedprice", "l_discount",
-                           kJiPart},
-                  .range = ScanSpec::Range{"l_shipdate", lo, hi}});
-  li = Select(ctx, std::move(li),
-              And(Ge(Col("l_shipdate"), LitDate("1995-09-01")),
-                  Lt(Col("l_shipdate"), LitDate("1995-10-01"))));
-  li = Fetch1Join(ctx, std::move(li), db.Get("part"), kJiPart,
-                  {{"p_type", "p_type"}});
-  TablePtr base = RunPlan(
-      Project(ctx, std::move(li), NE(Pass("p_type"), As("rev", Rev()))),
-      "q14_base");
+  auto aggrs = [] { return AG(Sum("rev", Col("rev"))); };
+  auto li = PartialAggr(
+      ctx, {"p_type"}, aggrs(), [&](ExecContext* c, ScanSpec::Morsel m) {
+        auto s = Scan(c, db.Get("lineitem"),
+                      {.cols = {"l_shipdate", "l_extendedprice", "l_discount",
+                                kJiPart},
+                       .range = ScanSpec::Range{"l_shipdate", lo, hi},
+                       .morsel = m});
+        s = Select(c, std::move(s),
+                   And(Ge(Col("l_shipdate"), LitDate("1995-09-01")),
+                       Lt(Col("l_shipdate"), LitDate("1995-10-01"))));
+        s = Fetch1Join(c, std::move(s), db.Get("part"), kJiPart,
+                       {{"p_type", "p_type"}});
+        s = Project(c, std::move(s), NE(Pass("p_type"), As("rev", Rev())));
+        return HashAggr(c, std::move(s), {"p_type"}, aggrs());
+      });
+  TablePtr base = RunPlan(std::move(li), "q14_base");
 
   TablePtr allt =
       RunPlan(HashAggr(ctx, Scan(ctx, *base, {"rev"}), {},
@@ -531,6 +542,21 @@ std::unique_ptr<Table> RunX100Query(int q, ExecContext* ctx, const Catalog& db) 
       X100_CHECK(false);
       return nullptr;
   }
+}
+
+std::unique_ptr<Table> RunX100QueryDisk(int q, ExecContext* ctx,
+                                        const Catalog& db, ColumnBm* bm,
+                                        bool compress,
+                                        std::optional<CodecId> codec) {
+  if (!HasDiskPlan(q)) {
+    throw std::invalid_argument(
+        "RunX100QueryDisk: only Q1, Q3, Q6 and Q14 run on ColumnBM (got q=" +
+        std::to_string(q) + ")");
+  }
+  BmSource src{.bm = bm, .catalog = &db, .compress = compress, .codec = codec};
+  ExecContext disk_ctx = *ctx;
+  disk_ctx.bm_source = &src;
+  return RunX100Query(q, &disk_ctx, db);
 }
 
 }  // namespace x100

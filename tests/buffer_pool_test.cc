@@ -667,6 +667,33 @@ TEST_F(DiskQueryTest, EveryPinnedCodecIsBitIdenticalOnQ1AndQ6) {
   }
 }
 
+TEST_F(DiskQueryTest, ColumnBmHoldsOnlyBaseTableColumns) {
+  // plan::Scan serves catalog tables from ColumnBM and everything else from
+  // RAM. Q14's materialized base (and any other RunPlan result) must never
+  // be stored: files are store-once by name, so the next run would read a
+  // stale intermediate.
+  for (bool compress : {false, true}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("compress=") + (compress ? "1" : "0") +
+                   " threads=" + std::to_string(threads));
+      ScopedTempDir dir("x100_bm_test");
+      ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
+      ExecContext ctx;
+      ctx.num_threads = threads;
+      for (int q : {1, 3, 6, 14}) {
+        RunX100QueryDisk(q, &ctx, *db_, &bm, compress);
+      }
+      int files = 0;
+      for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+        std::string name = e.path().filename().string();
+        EXPECT_EQ(name.rfind("lineitem.", 0), 0u) << name;
+        files++;
+      }
+      EXPECT_GT(files, 1);
+    }
+  }
+}
+
 TEST_F(DiskQueryTest, TraceShowsCodecCounters) {
   // A compressed disk Q6 must report per-codec staging counters on the
   // BmScan trace node.

@@ -100,8 +100,7 @@ TEST(ScanTest, RowIdEmission) {
   std::unique_ptr<Table> t = MakeData(50);
   ASSERT_TRUE(t->Delete(3).ok());
   ExecContext ctx;
-  ScanOp scan(&ctx, *t, {"id"});
-  scan.EmitRowId("#rowid");
+  ScanOp scan(&ctx, *t, ScanSpec{.cols = {"id"}, .rowid = "#rowid"});
   scan.Open();
   VectorBatch* b = scan.Next();
   ASSERT_NE(b, nullptr);
@@ -116,10 +115,10 @@ TEST(ScanTest, SummaryIndexPruning) {
   ExecContext ctx;
   Profiler prof;
   ctx.profiler = &prof;
-  auto scan = std::make_unique<ScanOp>(
-      &ctx, *t, std::vector<std::string>{"day", "id"});
-  scan->RestrictRange("day", 8135, 8137);
-  OpPtr op = std::move(scan);
+  OpPtr op = std::make_unique<ScanOp>(
+      &ctx, *t,
+      ScanSpec{.cols = {"day", "id"},
+               .range = ScanSpec::Range{"day", 8135, 8137}});
   op = plan::Select(&ctx, std::move(op),
                     exprs::Between(Col("day"), Lit(Value::Date(8135)),
                                    Lit(Value::Date(8137))));
@@ -804,12 +803,12 @@ TEST(BmScanTest, MatchesInMemoryScanPlainAndCompressed) {
 
   ColumnBm bm;
   std::unique_ptr<Table> plain = run(std::make_unique<BmScanOp>(
-      &ctx, &bm, *t, std::vector<std::string>{"tag", "qty"}, false));
+      &ctx, &bm, *t, BmScanSpec{.cols = {"tag", "qty"}}));
   ExpectTablesEqual(*ram, *plain, 0.0);
 
   ColumnBm bm2;
   std::unique_ptr<Table> comp = run(std::make_unique<BmScanOp>(
-      &ctx, &bm2, *t, std::vector<std::string>{"tag", "qty"}, true));
+      &ctx, &bm2, *t, BmScanSpec{.cols = {"tag", "qty"}, .compress = true}));
   ExpectTablesEqual(*ram, *comp, 0.0);
   // Compressed image moved fewer bytes over the I/O boundary.
   EXPECT_LT(bm2.bytes_read(), bm.bytes_read());
@@ -823,7 +822,7 @@ TEST(BmScanTest, BlocksAreReusedAcrossQueries) {
     auto op = plan::HashAggr(
         &ctx,
         plan::OpPtr(std::make_unique<BmScanOp>(
-            &ctx, &bm, *t, std::vector<std::string>{"id"}, true)),
+            &ctx, &bm, *t, BmScanSpec{.cols = {"id"}, .compress = true})),
         {}, AG(Sum("s", Col("id"))));
     std::unique_ptr<Table> r = RunPlan(std::move(op), "r");
     EXPECT_DOUBLE_EQ(static_cast<double>(r->GetValue(0, 0).AsI64()),

@@ -264,12 +264,15 @@ TEST(ExchangeTest, RepeatedCancelLeaksNoPoolThreads) {
     ctx.cancel = nullptr;
   }
   // Liveness probe: the shared pool must still execute new work. The tasks
-  // make no concurrency assumptions — each just counts itself.
+  // make no concurrency assumptions — each just counts itself. The count is
+  // seq_cst, not relaxed, so reading n orders every task's write to `ran`
+  // before this frame's stack is reused (ThreadSanitizer flags it
+  // otherwise).
   ThreadPool& pool = ThreadPool::Shared();
   const int n = pool.num_threads();
   std::atomic<int> ran{0};
   for (int i = 0; i < n; i++) {
-    pool.Submit([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pool.Submit([&] { ran.fetch_add(1); });
   }
   for (int spins = 0; ran.load() < n && spins < 5000; spins++) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -311,6 +314,23 @@ TEST_F(ParallelTpchTest, Q6MatchesSerialAtAnyWorkerCount) {
     ctx.num_threads = threads;
     std::unique_ptr<Table> par = RunX100Query(6, &ctx, *db_);
     ExpectTablesEqual(*serial, *par);
+  }
+}
+
+TEST_F(ParallelTpchTest, Q3AndQ14MatchSerialAtAnyWorkerCount) {
+  // Both plans pre-aggregate each morsel (Q3 per order, Q14 per part type)
+  // below the Exchange; TopN/CartProd above the merge see the same groups.
+  for (int q : {3, 14}) {
+    ExecContext serial_ctx;
+    std::unique_ptr<Table> serial = RunX100Query(q, &serial_ctx, *db_);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("q" + std::to_string(q) + " threads=" +
+                   std::to_string(threads));
+      ExecContext ctx;
+      ctx.num_threads = threads;
+      std::unique_ptr<Table> par = RunX100Query(q, &ctx, *db_);
+      ExpectTablesEqual(*serial, *par);
+    }
   }
 }
 
