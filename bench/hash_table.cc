@@ -12,9 +12,19 @@
 //        marks these "counter": true so ABSENT passes the gate)
 // plus the gated headline: linear_vs_chained_probe_speedup_large — the new
 // default must beat the chained layout on probe ns/tuple at the large size.
+//
+// The stream above is all hits. Most TPC-H probes miss, so a second,
+// join-level set runs HashJoinOp (semi and inner) at 1% and 10% hit rates:
+//   join_<semi|inner>_<dense|sparse>_hit<01|10>   seconds per rep
+//   ..._ns_per_probe                              scalars from the best rep
+//   <semi|inner>_dense_vs_sparse_speedup_hit<01|10>
+// "dense" joins integer keys whose span qualifies for the dense-key filter;
+// "sparse" joins the same keys times 1,000,003, which takes the hash path.
+// The gate holds semi_..._hit01 and inner_..._hit10.
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +32,7 @@
 #include "common/hash.h"
 #include "common/perf_counters.h"
 #include "exec/hash_table.h"
+#include "exec/plan.h"
 
 namespace x100 {
 namespace {
@@ -74,6 +85,39 @@ struct SizeClass {
   size_t build_keys;
   size_t probes;
 };
+
+// Join-level series: the build side holds every (1/hit)-th value of a
+// 65,536-value key domain and the probe keys are uniform over the domain,
+// so `hit` is the probe hit rate.
+constexpr int64_t kJoinDomain = 65536;
+constexpr size_t kJoinProbes = size_t{1} << 20;
+constexpr int64_t kSparseScale = 1000003;
+
+std::unique_ptr<Table> KeyTable(const std::string& col,
+                                const std::vector<int64_t>& keys,
+                                int64_t scale) {
+  auto t = std::make_unique<Table>(
+      col, std::vector<Table::ColumnSpec>{{col, TypeId::kI64, false}});
+  for (int64_t k : keys) t->AppendRow({Value::I64(k * scale)});
+  t->Freeze();
+  return t;
+}
+
+// Runs probe JOIN build on k = bk to completion; returns the output rows.
+uint64_t DrainJoin(const Table& probe, const Table& build, JoinType type) {
+  ExecContext ctx;
+  JoinSpec spec{.probe_keys = {"k"}, .build_keys = {"bk"},
+                .probe_out = {"k"}, .type = type};
+  if (type == JoinType::kInner) spec.build_out = {"bk"};
+  plan::OpPtr op = plan::Join(&ctx, plan::Scan(&ctx, probe, {"k"}),
+                              plan::Scan(&ctx, build, {"bk"}),
+                              std::move(spec));
+  op->Open();
+  uint64_t rows = 0;
+  while (VectorBatch* b = op->Next()) rows += static_cast<uint64_t>(b->sel_count());
+  op->Close();
+  return rows;
+}
 
 }  // namespace
 }  // namespace x100
@@ -162,6 +206,50 @@ int main() {
                   probe_best_large[0] / probe_best_large[1], "x");
     out.AddScalar("cuckoo_vs_chained_probe_speedup_large",
                   probe_best_large[0] / probe_best_large[2], "x");
+  }
+
+  // Miss-heavy join series: dense-key filter against the hash path.
+  for (int hit_pct : {1, 10}) {
+    const int64_t stride = 100 / hit_pct;
+    std::vector<int64_t> build_keys, probe_keys(kJoinProbes);
+    build_keys.reserve(static_cast<size_t>(kJoinDomain / stride + 1));
+    for (int64_t k = 0; k < kJoinDomain; k += stride) build_keys.push_back(k);
+    uint64_t s = 0x2545F4914F6CDD1Dull + static_cast<uint64_t>(hit_pct);
+    for (size_t i = 0; i < kJoinProbes; i++) {
+      s = s * 6364136223846793005ull + 1442695040888963407ull;
+      probe_keys[i] = static_cast<int64_t>((s >> 33) % kJoinDomain);
+    }
+    char hit[8];
+    std::snprintf(hit, sizeof(hit), "hit%02d", hit_pct);
+    for (JoinType type : {JoinType::kSemi, JoinType::kInner}) {
+      const char* kind = type == JoinType::kSemi ? "semi" : "inner";
+      double best[2] = {0, 0};
+      uint64_t rows[2] = {0, 0};
+      for (int sparse = 0; sparse < 2; sparse++) {
+        int64_t scale = sparse ? kSparseScale : 1;
+        std::unique_ptr<Table> probe = KeyTable("k", probe_keys, scale);
+        std::unique_ptr<Table> build = KeyTable("bk", build_keys, scale);
+        RepSet r = MeasureReps(
+            reps, [&] { rows[sparse] = DrainJoin(*probe, *build, type); });
+        std::string tag = std::string("join_") + kind +
+                          (sparse ? "_sparse_" : "_dense_") + hit;
+        out.AddReps(tag, r);
+        double ns = r.Best() * 1e9 / static_cast<double>(kJoinProbes);
+        out.AddScalar(tag + "_ns_per_probe", ns, "ns");
+        std::fprintf(stderr, "[bench] %-24s %6.2f ns/probe  %llu rows\n",
+                     tag.c_str(), ns,
+                     static_cast<unsigned long long>(rows[sparse]));
+        best[sparse] = r.Best();
+      }
+      if (rows[0] != rows[1]) {
+        std::fprintf(stderr, "[bench] BUG: %s %s dense %llu rows, sparse %llu\n",
+                     kind, hit, static_cast<unsigned long long>(rows[0]),
+                     static_cast<unsigned long long>(rows[1]));
+        return 1;
+      }
+      out.AddScalar(std::string(kind) + "_dense_vs_sparse_speedup_" + hit,
+                    best[1] / best[0], "x");
+    }
   }
 
   return out.Write().empty() ? 1 : 0;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "exec/plan.h"
 
@@ -202,15 +203,13 @@ class ParserImpl {
       if (Accept(Token::Kind::kSymbol, ",")) {
         spec.build_out = ParseIdentList();
       }
-      if (name == "SemiJoin") {
-        op = plan::SemiJoin(ctx_, std::move(probe), std::move(build),
-                            std::move(spec));
-      } else if (name == "AntiJoin") {
-        op = plan::AntiJoin(ctx_, std::move(probe), std::move(build),
-                            std::move(spec));
-      } else {
+      if (name == "SemiJoin") spec.type = JoinType::kSemi;
+      if (name == "AntiJoin") spec.type = JoinType::kAnti;
+      try {
         op = plan::Join(ctx_, std::move(probe), std::move(build),
                         std::move(spec));
+      } catch (const std::invalid_argument& e) {
+        Fail(e.what());  // bad key names or types in user text
       }
     } else if (name == "Fetch1Join") {
       auto child = ParseOperator();

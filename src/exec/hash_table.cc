@@ -50,11 +50,16 @@ HashTable::HashTable(HashImpl impl) : impl_(impl) { Reset(0); }
 
 HashTable::HashTable() : HashTable(EnvHashImpl()) {}
 
-void HashTable::Reset(size_t expected) {
+void HashTable::Reset(size_t expected) { Clear(false, expected); }
+
+void HashTable::ResetForBuild(size_t rows) { Clear(true, rows); }
+
+void HashTable::Clear(bool half_load, size_t expected) {
   entries_.clear();
   next_.clear();
   entries_count_ = 0;
   capacity_ = 0;  // forces a fresh Rebuild, not counted as a grow
+  half_load_ = half_load;
   EnsureCapacity(expected);
 }
 
@@ -65,6 +70,7 @@ void HashTable::Reserve(size_t extra) {
 void HashTable::EnsureCapacity(size_t total_entries) {
   size_t cap = capacity_ < kMinCapacity ? kMinCapacity : capacity_;
   auto too_full = [&](size_t c) {
+    if (half_load_) return total_entries * 2 > c;
     switch (impl_) {
       case HashImpl::kChained:
         return total_entries > c;  // ~1 entry per bucket

@@ -33,6 +33,16 @@
 // Growth is power-of-two and happens only in Reset()/Reserve() — never
 // inside the probe loop — so callers reserve a batch's worth of headroom up
 // front and probe cursors stay valid for the whole batch.
+//
+// Sizing rule. Tables that grow while they are filled (hash aggregation
+// discovers its groups as it goes) run up to each layout's load ceiling —
+// 7/8 for linear probing — and double past it. A join knows its final build
+// count before the first insert, so HashJoin sizes its table once with
+// ResetForBuild(): capacity for at most 1/2 load. A miss under linear
+// probing scans about (1 + 1/(1-a)^2)/2 slots at load a — ~32 at 7/8, 2.5
+// at 1/2 — and most TPC-H probes miss, so the extra slots pay for
+// themselves; ht.grows stays 0 because nothing is ever inserted past the
+// count the table was sized for.
 
 #include <cstddef>
 #include <cstdint>
@@ -110,9 +120,15 @@ class HashTable {
   size_t capacity() const { return capacity_; }
   const HashTableStats& stats() const { return stats_; }
 
-  /// Drops all entries and pre-sizes for `expected` distinct keys.
+  /// Drops all entries and pre-sizes for `expected` distinct keys at the
+  /// layout's load ceiling; further inserts grow the table.
   /// Lifetime stats are kept (radix join resets once per partition).
   void Reset(size_t expected);
+
+  /// Drops all entries and sizes for a complete build side of at most
+  /// `rows` distinct keys at <= 1/2 load. Reserve() within that count never
+  /// grows the table. Lifetime stats are kept.
+  void ResetForBuild(size_t rows);
 
   /// Guarantees `extra` further inserts succeed without a mid-batch
   /// rebuild. Call once per input vector, before ProbeBegin.
@@ -179,6 +195,7 @@ class HashTable {
     return (b ^ (static_cast<size_t>(tag) * 0x9E3779B9u)) & mask_;
   }
 
+  void Clear(bool half_load, size_t expected);
   void EnsureCapacity(size_t total_entries);
   void Rebuild(size_t new_capacity);
   uint32_t NewEntry(uint64_t h, uint32_t value);
@@ -200,6 +217,7 @@ class HashTable {
   size_t entries_count_ = 0;
   size_t capacity_ = 0;  // slots (linear/cuckoo) or buckets (chained)
   size_t mask_ = 0;      // slot mask (linear) / bucket mask (chained, cuckoo)
+  bool half_load_ = false;  // ResetForBuild sizing instead of the ceiling
   HashTableStats stats_;
   HashTableStats published_;  // snapshot at last PublishStats
 };

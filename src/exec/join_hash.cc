@@ -1,10 +1,11 @@
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
-#include "common/hash.h"
 #include "common/metrics.h"
 #include "exec/join.h"
 #include "exec/join_internal.h"
+#include "exec/trace.h"
 
 namespace x100 {
 
@@ -13,6 +14,29 @@ using join_internal::GatherByPos;
 using join_internal::GatherByRow;
 
 // ---- HashJoinOp -------------------------------------------------------------
+
+namespace {
+
+// Dense-key filter limits (DESIGN.md "Hash join"). The bitmap engages when
+// the build key's [min, max] span is at most kDenseBitsPerRow bits per build
+// row — 8 B/row, against >= 32 B/row for a hash table at <= 1/2 load — or
+// fits the L1-resident floor, whichever is larger.
+constexpr uint64_t kDenseBitsPerRow = 64;
+constexpr uint64_t kDenseMinBits = 65536;
+
+// Reads key `r` of a single integer key column of `width` bytes as i64.
+int64_t KeyAt(const char* col, size_t width, size_t r) {
+  if (width == 4) {
+    int32_t v;
+    std::memcpy(&v, col + r * 4, 4);
+    return v;
+  }
+  int64_t v;
+  std::memcpy(&v, col + r * 8, 8);
+  return v;
+}
+
+}  // namespace
 
 struct HashJoinOp::Impl {
   explicit Impl(HashImpl hash_impl) : table(hash_impl) {}
@@ -27,6 +51,20 @@ struct HashJoinOp::Impl {
   HashTable::Probe probe;
   std::vector<uint32_t> next_dup;  // per build row; kNone ends the chain
   std::vector<uint64_t> row_hash;
+  bool use_table = true;  // false: semi/anti answered by the filter alone
+
+  // Dense-key filter: one bit per value of the build key's domain. Set up in
+  // Open when the join has one integer key; engaged after the build drains
+  // if the span qualifies.
+  const SelectPrimitive* filter_prim = nullptr;
+  PrimitiveStats* filter_stats = nullptr;
+  size_t filter_bytes_per_tuple = 0;
+  bool filter_on = false;
+  std::vector<uint64_t> filter_bits;
+  DenseDomain domain;
+  std::vector<int> filter_sel;  // per probe batch: positions that passed
+  uint64_t filter_probes = 0;
+  uint64_t filter_passed = 0;
 
   // Probe-side hash pipeline.
   struct HashStep {
@@ -73,9 +111,8 @@ struct HashJoinOp::Impl {
                         *reinterpret_cast<const char* const*>(b)) != 0) {
           return false;
         }
-      } else {
-        X100_CHECK(probe_key_widths[c] == store.widths[c]);
-        if (std::memcmp(a, b, store.widths[c]) != 0) return false;
+      } else if (std::memcmp(a, b, store.widths[c]) != 0) {
+        return false;
       }
     }
     return true;
@@ -96,6 +133,60 @@ struct HashJoinOp::Impl {
     }
     return true;
   }
+
+  // Engages the filter when the drained build key's span qualifies. An empty
+  // build engages with an empty domain: every probe misses.
+  bool TryBuildFilter() {
+    if (filter_prim == nullptr) return false;
+    const char* col = store.ColData(0);
+    size_t w = store.widths[0];
+    int64_t lo = 0, hi = -1;
+    for (size_t r = 0; r < store.rows; r++) {
+      int64_t v = KeyAt(col, w, r);
+      if (r == 0 || v < lo) lo = v;
+      if (r == 0 || v > hi) hi = v;
+    }
+    uint64_t span = 0;
+    if (store.rows > 0) {
+      // hi - lo always fits in u64; the +1 overflows only for a build that
+      // holds both INT64_MIN and INT64_MAX.
+      uint64_t diff = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      if (__builtin_add_overflow(diff, uint64_t{1}, &span)) return false;
+    }
+    uint64_t limit = std::max<uint64_t>(kDenseBitsPerRow * store.rows,
+                                        kDenseMinBits);
+    if (span > limit) return false;
+    // span + 1 bits: bit `span` is the zero pad out-of-domain keys land on.
+    filter_bits.assign(span / 64 + 1, 0);
+    for (size_t r = 0; r < store.rows; r++) {
+      uint64_t off = static_cast<uint64_t>(KeyAt(col, w, r)) -
+                     static_cast<uint64_t>(lo);
+      filter_bits[off >> 6] |= uint64_t{1} << (off & 63);
+    }
+    domain = DenseDomain{filter_bits.data(), lo, span};
+    filter_on = true;
+    return true;
+  }
+
+  // Runs select_inbitmap over the batch's live lanes; filter_sel receives
+  // the positions whose key is in the build domain, in lane order.
+  int RunFilter(const VectorBatch* batch, int n, const int* sel) {
+    if (filter_sel.size() < static_cast<size_t>(n)) filter_sel.resize(n);
+    const void* args[2] = {batch->column(probe_key_cols[0]).data(), &domain};
+    int m;
+    if (filter_stats) {
+      ScopedCycles cyc(filter_stats);
+      m = filter_prim->fn(n, filter_sel.data(), args, sel);
+      filter_stats->calls++;
+      filter_stats->tuples += static_cast<uint64_t>(n);
+      filter_stats->bytes += static_cast<uint64_t>(n) * filter_bytes_per_tuple;
+    } else {
+      m = filter_prim->fn(n, filter_sel.data(), args, sel);
+    }
+    filter_probes += static_cast<uint64_t>(n);
+    filter_passed += static_cast<uint64_t>(m);
+    return m;
+  }
 };
 
 HashJoinOp::HashJoinOp(ExecContext* ctx, std::unique_ptr<Operator> probe,
@@ -108,7 +199,32 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, std::unique_ptr<Operator> probe,
       probe_out_(std::move(spec.probe_out)),
       build_out_(std::move(spec.build_out)),
       type_(spec.type) {
-  X100_CHECK(probe_keys_.size() == build_keys_.size() && !probe_keys_.empty());
+  // Keys are checked here, once, rather than per hash candidate: a key pair
+  // of different types would otherwise pass whenever no probe happened to
+  // produce a candidate, and the dense-key filter compares values, not
+  // bytes.
+  if (probe_keys_.empty() || probe_keys_.size() != build_keys_.size()) {
+    throw std::invalid_argument(
+        "HashJoin: needs the same nonzero number of probe and build keys");
+  }
+  for (size_t c = 0; c < probe_keys_.size(); c++) {
+    int pi = probe_->schema().Find(probe_keys_[c]);
+    int bi = build_->schema().Find(build_keys_[c]);
+    if (pi < 0 || bi < 0) {
+      throw std::invalid_argument(
+          "HashJoin: unknown " +
+          (pi < 0 ? "probe key '" + probe_keys_[c]
+                  : "build key '" + build_keys_[c]) +
+          "'");
+    }
+    TypeId pt = probe_->schema().field(pi).type;
+    TypeId bt = build_->schema().field(bi).type;
+    if (pt != bt) {
+      throw std::invalid_argument(
+          "HashJoin: probe key '" + probe_keys_[c] + "' is " + TypeName(pt) +
+          " but build key '" + build_keys_[c] + "' is " + TypeName(bt));
+    }
+  }
   if (type_ == JoinType::kSemi || type_ == JoinType::kAnti) {
     X100_CHECK(build_out_.empty());
   }
@@ -181,6 +297,19 @@ void HashJoinOp::Open() {
          TypeWidth(ps.field(ci).type) + 8});
   }
 
+  // Dense-key filter candidates: one integer key column (i32, date, i64).
+  TypeId kt = ps.field(im.probe_key_cols[0]).type;
+  if (im.num_keys == 1 &&
+      (kt == TypeId::kI32 || kt == TypeId::kDate || kt == TypeId::kI64)) {
+    std::string name = kt == TypeId::kI64 ? "select_inbitmap_i64_col"
+                                          : "select_inbitmap_i32_col";
+    im.filter_prim = PrimitiveRegistry::Get().FindSelect(name);
+    X100_CHECK(im.filter_prim != nullptr);
+    im.filter_stats =
+        ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
+    im.filter_bytes_per_tuple = TypeWidth(kt) + sizeof(int);
+  }
+
   for (const std::string& name : probe_out_) {
     int ci = ps.Find(name);
     im.probe_out_cols.push_back(ci);
@@ -203,30 +332,39 @@ void HashJoinOp::BuildSide() {
   while (VectorBatch* batch = build_->Next()) {
     im.store.Append(batch);
   }
-  // Hash all build rows, then find-or-chain them batch-at-a-time. The apply
-  // pass runs in row order after each probe pass drains, so duplicate chains
-  // form in insertion order regardless of which lanes resolved vectorized
-  // and which went through the scalar InsertMiss path.
+  im.m_build_rows->Record(im.store.rows);
+  im.built = true;
+  // A semi/anti join on a dense key is answered by the bitmap alone.
+  if (im.TryBuildFilter() &&
+      (type_ == JoinType::kSemi || type_ == JoinType::kAnti)) {
+    im.use_table = false;
+    return;
+  }
+  // Hash all build rows, then find-or-chain them batch-at-a-time. The build
+  // keys go through the probe side's map_hash/map_rehash primitives, so both
+  // sides hash every key type alike (narrow signed keys sign-extend). The
+  // apply pass runs in row order after each probe pass drains, so duplicate
+  // chains form in insertion order regardless of which lanes resolved
+  // vectorized and which went through the scalar InsertMiss path.
+  size_t chunk = static_cast<size_t>(ctx_->vector_size);
   im.row_hash.resize(im.store.rows);
-  for (size_t r = 0; r < im.store.rows; r++) {
-    uint64_t h = 0;
+  std::vector<uint64_t> rehashed(im.num_keys > 1 ? chunk : 0);
+  for (size_t base = 0; base < im.store.rows; base += chunk) {
+    int n = static_cast<int>(std::min(chunk, im.store.rows - base));
+    uint64_t* h = im.row_hash.data() + base;
     for (size_t c = 0; c < im.num_keys; c++) {
-      const char* p = im.store.ColData(c) + r * im.store.widths[c];
-      uint64_t hv;
-      if (im.key_is_str[c]) {
-        hv = HashStr(*reinterpret_cast<const char* const*>(p));
+      const void* args[2] = {im.store.ColData(c) + base * im.store.widths[c],
+                             h};
+      if (c == 0) {
+        im.hash_steps[c].prim->fn(n, h, args, nullptr);
       } else {
-        uint64_t raw = 0;
-        std::memcpy(&raw, p, im.store.widths[c]);
-        hv = HashU64(raw);
+        im.hash_steps[c].prim->fn(n, rehashed.data(), args, nullptr);
+        std::copy(rehashed.begin(), rehashed.begin() + n, h);
       }
-      h = c == 0 ? hv : HashCombine(h, hv);
     }
-    im.row_hash[r] = h;
   }
   im.next_dup.assign(im.store.rows, HashTable::kNone);
-  im.table.Reset(im.store.rows);
-  size_t chunk = static_cast<size_t>(ctx_->vector_size);
+  im.table.ResetForBuild(im.store.rows);
   for (size_t base = 0; base < im.store.rows; base += chunk) {
     int n = static_cast<int>(std::min(chunk, im.store.rows - base));
     im.table.Reserve(static_cast<size_t>(n));
@@ -264,8 +402,6 @@ void HashJoinOp::BuildSide() {
       }
     }
   }
-  im.m_build_rows->Record(im.store.rows);
-  im.built = true;
 }
 
 void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
@@ -273,20 +409,29 @@ void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
   int n = batch->sel_count();
   const int* sel = batch->sel();
 
+  // Lanes that go on to the hash table: all live ones, or only the filter's
+  // survivors (positions in lane order, so emission can merge against them).
+  int pn = n;
+  const int* psel = sel;
+  if (im.filter_on) {
+    pn = im.RunFilter(batch, n, sel);
+    psel = im.filter_sel.data();
+  }
+
   uint64_t* cur = im.hash_a.Data<uint64_t>();
   uint64_t* other = im.hash_b.Data<uint64_t>();
-  for (size_t s = 0; s < im.hash_steps.size(); s++) {
+  for (size_t s = 0; im.use_table && s < im.hash_steps.size(); s++) {
     Impl::HashStep& hs = im.hash_steps[s];
     const void* args[2] = {batch->column(hs.col).data(), cur};
     void* res = s == 0 ? cur : other;
     if (hs.stats) {
       ScopedCycles cyc(hs.stats);
-      hs.prim->fn(n, res, args, sel);
+      hs.prim->fn(pn, res, args, psel);
       hs.stats->calls++;
-      hs.stats->tuples += static_cast<uint64_t>(n);
-      hs.stats->bytes += static_cast<uint64_t>(n) * hs.bytes_per_tuple;
+      hs.stats->tuples += static_cast<uint64_t>(pn);
+      hs.stats->bytes += static_cast<uint64_t>(pn) * hs.bytes_per_tuple;
     } else {
-      hs.prim->fn(n, res, args, sel);
+      hs.prim->fn(pn, res, args, psel);
     }
     if (s != 0) std::swap(cur, other);
   }
@@ -296,20 +441,42 @@ void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
   // Vectorized probe-all: every lane advances per round, candidates come
   // back as a selection vector for key verification; match emission then
   // runs lane-order so output order matches the scalar chain walk.
-  im.table.ProbeBegin(&im.probe, cur, sel, n);
-  while (int nc = im.table.ProbeRound(&im.probe)) {
-    for (int k = 0; k < nc; k++) {
-      int pos = sel ? sel[im.probe.cand_lane(k)] : im.probe.cand_lane(k);
-      if (im.KeysEqual(batch, pos, im.table.EntryValue(im.probe.cand_entry(k)))) {
-        im.table.Accept(&im.probe, k);
-      } else {
-        im.table.Reject(&im.probe, k);
+  if (im.use_table) {
+    im.table.ProbeBegin(&im.probe, cur, psel, pn);
+    while (int nc = im.table.ProbeRound(&im.probe)) {
+      for (int k = 0; k < nc; k++) {
+        int pos = psel ? psel[im.probe.cand_lane(k)] : im.probe.cand_lane(k);
+        if (im.KeysEqual(batch, pos,
+                         im.table.EntryValue(im.probe.cand_entry(k)))) {
+          im.table.Accept(&im.probe, k);
+        } else {
+          im.table.Reject(&im.probe, k);
+        }
       }
     }
   }
-  for (int j = 0; j < n; j++) {
-    int i = sel ? sel[j] : j;
-    uint32_t head = im.probe.result(j);
+  // Head build row of probe lane k. Without a table the filter is exact
+  // (semi/anti only), so every survivor is a match whose rows go unread.
+  auto head_of = [&](int k) {
+    return im.use_table ? im.probe.result(k) : uint32_t{0};
+  };
+  // Emission in lane order. Probe lane k is the k-th survivor; lanes the
+  // filter dropped are misses, which only anti and left-outer joins emit, so
+  // inner and semi joins walk the survivors alone.
+  bool emit_misses =
+      type_ == JoinType::kAnti || type_ == JoinType::kLeftOuterDefault;
+  int lanes = emit_misses ? n : pn;
+  int k = 0;
+  for (int j = 0; j < lanes; j++) {
+    int i;
+    uint32_t head = HashTable::kNone;
+    if (emit_misses) {
+      i = sel ? sel[j] : j;
+      if (k < pn && (psel ? psel[k] : k) == i) head = head_of(k++);
+    } else {
+      i = psel ? psel[j] : j;
+      head = head_of(j);
+    }
     if (head != HashTable::kNone) {
       hits++;
       if (type_ == JoinType::kInner || type_ == JoinType::kLeftOuterDefault) {
@@ -321,8 +488,7 @@ void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
         im.pend_pos.push_back(i);
         im.pend_row.push_back(-1);
       }
-    } else if (type_ == JoinType::kAnti ||
-               type_ == JoinType::kLeftOuterDefault) {
+    } else if (emit_misses) {
       im.pend_pos.push_back(i);
       im.pend_row.push_back(-1);
     }
@@ -378,7 +544,15 @@ VectorBatch* HashJoinOp::Next() {
 }
 
 void HashJoinOp::Close() {
-  if (impl_) impl_->table.PublishStats(trace_node_);
+  if (impl_) {
+    Impl& im = *impl_;
+    if (im.filter_on && trace_node_ != nullptr) {
+      trace_node_->AddCounter("filter.span_bits", im.domain.span);
+      trace_node_->AddCounter("filter.probes", im.filter_probes);
+      trace_node_->AddCounter("filter.passed", im.filter_passed);
+    }
+    if (im.use_table) im.table.PublishStats(trace_node_);
+  }
   probe_->Close();
   build_->Close();
 }

@@ -47,6 +47,16 @@ struct SelectPrimitive {
   SelectFn fn;
 };
 
+/// Argument of the select_inbitmap_* primitives: a set of integers given as
+/// one bit per value of [lo, lo + span). `bits` holds at least span + 1 bits
+/// and bit `span` is always zero (the primitives clamp out-of-domain keys
+/// onto it).
+struct DenseDomain {
+  const uint64_t* bits = nullptr;
+  int64_t lo = 0;
+  uint64_t span = 0;
+};
+
 struct AggrPrimitive {
   TypeId state_type;  // accumulator slot type (i32 sums widen to i64)
   AggrFn fn;
@@ -84,6 +94,7 @@ class PrimitiveRegistry {
 void RegisterMapArith(PrimitiveRegistry* r);
 void RegisterMapCast(PrimitiveRegistry* r);
 void RegisterSelectCmp(PrimitiveRegistry* r);
+void RegisterSelectBitmap(PrimitiveRegistry* r);
 void RegisterAggrPrimitives(PrimitiveRegistry* r);
 void RegisterFetchHash(PrimitiveRegistry* r);
 void RegisterStringPrimitives(PrimitiveRegistry* r);

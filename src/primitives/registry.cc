@@ -10,6 +10,7 @@ const PrimitiveRegistry& PrimitiveRegistry::Get() {
     RegisterMapArith(r);
     RegisterMapCast(r);
     RegisterSelectCmp(r);
+    RegisterSelectBitmap(r);
     RegisterAggrPrimitives(r);
     RegisterFetchHash(r);
     RegisterStringPrimitives(r);

@@ -190,5 +190,28 @@ TEST_F(AlgebraParserTest, ErrorsAreReported) {
             nullptr);
 }
 
+TEST_F(AlgebraParserTest, JoinKeyErrorsAreReported) {
+  // HashJoin checks its keys when it is constructed; the parser turns the
+  // exception into an error instead of aborting on user text.
+  ExecContext ctx;
+  AlgebraParser parser(&ctx, *db_);
+  std::string error;
+  EXPECT_EQ(parser.Parse(R"(
+      HashJoin(Table(lineitem, l_orderkey), Table(orders, o_l_start),
+               [ l_orderkey ], [ o_l_start ], [ l_orderkey ]))",
+                         &error),
+            nullptr);
+  EXPECT_NE(error.find("is i32 but build key 'o_l_start' is i64"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(parser.Parse(R"(
+      SemiJoin(Table(lineitem, l_orderkey), Table(orders, o_orderkey),
+               [ l_orderkey ], [ o_nokey ], [ l_orderkey ]))",
+                         &error),
+            nullptr);
+  EXPECT_NE(error.find("unknown build key 'o_nokey'"), std::string::npos)
+      << error;
+}
+
 }  // namespace
 }  // namespace x100
