@@ -57,7 +57,7 @@ BENCHMARK(BM_MapMulF64);
 
 void BM_SelectLtBranch(benchmark::State& state) {
   const SelectPrimitive* p =
-      PrimitiveRegistry::Get().FindSelect("select_lt_i32_col_i32_val");
+      PrimitiveRegistry::Get().FindSelect("select_lt_i32_col_i32_val_branch");
   int32_t v = static_cast<int32_t>(state.range(0));
   const void* args[2] = {D().i32.data(), &v};
   for (auto _ : state) {
@@ -70,7 +70,7 @@ BENCHMARK(BM_SelectLtBranch)->Arg(5)->Arg(50)->Arg(95);
 
 void BM_SelectLtPredicated(benchmark::State& state) {
   const SelectPrimitive* p =
-      PrimitiveRegistry::Get().FindSelect("select_lt_i32_col_i32_val_pred");
+      PrimitiveRegistry::Get().FindSelect("select_lt_i32_col_i32_val");
   int32_t v = static_cast<int32_t>(state.range(0));
   const void* args[2] = {D().i32.data(), &v};
   for (auto _ : state) {

@@ -185,8 +185,7 @@ class ExprEvaluator {
 };
 
 /// Bound selection predicate over and/or trees of comparisons; leaves bind to
-/// select_* primitives (branch or predicated per ExecContext) and fill a
-/// selection vector (§4.1.1).
+/// the predicated select_* primitives and fill a selection vector (§4.1.1).
 class PredicateEvaluator {
  public:
   PredicateEvaluator(ExecContext* ctx, const Schema& input, const Expr& pred,

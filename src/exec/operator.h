@@ -17,9 +17,6 @@ struct SnapshotSet;
 struct ExecContext {
   /// Tuples per vector (§5.1.1; Figure 10 sweeps this).
   int vector_size = kDefaultVectorSize;
-  /// Use the predicated select primitives instead of the branching ones
-  /// (Figure 2's two code shapes).
-  bool predicated_selects = false;
   /// Let the binder fuse arithmetic map-primitive chains into single
   /// compound kernels (§4.2: "dynamic compilation of compound primitives
   /// ... mandated by an optimizer"). Fused plans are bit-identical to the

@@ -149,7 +149,6 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
     node->kind = PredNode::Kind::kCmp;
     std::string name = std::string("select_") + op + "_" + PrimTypeName(ct) +
                        "_col_" + PrimTypeName(ct) + "_val";
-    if (program_.ctx()->predicated_selects) name += "_pred";
     node->prim = PrimitiveRegistry::Get().FindSelect(name);
     X100_CHECK(node->prim != nullptr);
     node->args[0] = l.ref;
@@ -192,7 +191,6 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   node->kind = PredNode::Kind::kCmp;
   std::string name = std::string("select_") + op + "_" + PrimTypeName(t) +
                      "_col_" + PrimTypeName(t) + (r.ref.is_col ? "_col" : "_val");
-  if (program_.ctx()->predicated_selects && t != TypeId::kStr) name += "_pred";
   node->prim = PrimitiveRegistry::Get().FindSelect(name);
   if (node->prim == nullptr) {
     std::fprintf(stderr, "bind error: no select primitive '%s'\n", name.c_str());

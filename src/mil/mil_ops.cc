@@ -593,12 +593,13 @@ Bat MilSumGrouped(MilSession* s, const Bat& v, const Bat& groups, int64_t ng,
   out.ResizeUninitialized(ng);
   if (out.type() == TypeId::kF64) {
     double* r = out.MutableData<double>();
-    std::memset(r, 0, static_cast<size_t>(ng) * 8);
+    // An empty Bat's data is null, and memset(nullptr, 0, 0) is undefined.
+    if (ng > 0) std::memset(r, 0, static_cast<size_t>(ng) * 8);
     const double* d = v.Data<double>();
     for (int64_t i = 0; i < v.size(); i++) r[g[i]] += d[i];
   } else {
     int64_t* r = out.MutableData<int64_t>();
-    std::memset(r, 0, static_cast<size_t>(ng) * 8);
+    if (ng > 0) std::memset(r, 0, static_cast<size_t>(ng) * 8);
     for (int64_t i = 0; i < v.size(); i++) r[g[i]] += v.ValueAt(i).AsI64();
   }
   scope.Finish(v.bytes() + groups.bytes() + out.bytes(), ng);
@@ -660,7 +661,7 @@ Bat MilCountGrouped(MilSession* s, const Bat& groups, int64_t ng,
   Bat out(TypeId::kI64);
   out.ResizeUninitialized(ng);
   int64_t* r = out.MutableData<int64_t>();
-  std::memset(r, 0, static_cast<size_t>(ng) * 8);
+  if (ng > 0) std::memset(r, 0, static_cast<size_t>(ng) * 8);
   const int64_t* g = groups.Data<int64_t>();
   for (int64_t i = 0; i < groups.size(); i++) r[g[i]]++;
   scope.Finish(groups.bytes() + out.bytes(), ng);

@@ -73,7 +73,8 @@ void MapUnaryCol(int n, void* res, const void* const* args, const int* sel) {
 
 // ---- select kernels --------------------------------------------------------
 
-// Branching variant ("branch" in Figure 2): data-dependent IF.
+// Branching variant ("branch" in Figure 2): data-dependent IF. Registered only
+// under the `_branch` suffix, for Figure 2 and the kernel tests.
 template <typename A, typename B, typename Op>
 int SelectColValBranch(int n, int* res_sel, const void* const* args, const int* sel) {
   const A* __restrict__ a = static_cast<const A*>(args[0]);
@@ -93,7 +94,8 @@ int SelectColValBranch(int n, int* res_sel, const void* const* args, const int* 
 }
 
 // Predicated variant ("predicated" in Figure 2 / [17]): the comparison result
-// advances the output cursor, no branch in the loop body.
+// advances the output cursor, no branch in the loop body. The paper-style
+// names bind it, so it is the select the engine runs.
 template <typename A, typename B, typename Op>
 int SelectColValPred(int n, int* res_sel, const void* const* args, const int* sel) {
   const A* __restrict__ a = static_cast<const A*>(args[0]);

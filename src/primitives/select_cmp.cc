@@ -4,9 +4,11 @@
 #include "primitives/primitive.h"
 
 // Comparison select primitives: fill a selection vector with qualifying
-// positions and return the count (§4.2 "select_* primitives"). Both code
-// shapes from Figure 2 are generated: the default "branch" variant and a
-// "predicated" variant (suffix `_pred`) whose cost is selectivity-independent.
+// positions and return the count (§4.2 "select_* primitives"). The
+// paper-style names bind the predicated loop of Figure 2, whose cost does not
+// depend on selectivity; it is the only shape the engine binds. The branching
+// loop is registered under the suffix `_branch` for Figure 2's comparison
+// and the kernel tests.
 
 namespace x100 {
 namespace {
@@ -15,11 +17,11 @@ using namespace x100::kernels;
 
 template <typename T, typename Op>
 void RegisterCmp(PrimitiveRegistry* r, const char* op, const char* t) {
-  std::string base = std::string("select_") + op + "_" + t;
-  r->RegisterSelect(base + "_col_" + t + "_val", 2, &SelectColValBranch<T, T, Op>);
-  r->RegisterSelect(base + "_col_" + t + "_val_pred", 2, &SelectColValPred<T, T, Op>);
-  r->RegisterSelect(base + "_col_" + t + "_col", 2, &SelectColColBranch<T, T, Op>);
-  r->RegisterSelect(base + "_col_" + t + "_col_pred", 2, &SelectColColPred<T, T, Op>);
+  std::string base = std::string("select_") + op + "_" + t + "_col_" + t;
+  r->RegisterSelect(base + "_val", 2, &SelectColValPred<T, T, Op>);
+  r->RegisterSelect(base + "_val_branch", 2, &SelectColValBranch<T, T, Op>);
+  r->RegisterSelect(base + "_col", 2, &SelectColColPred<T, T, Op>);
+  r->RegisterSelect(base + "_col_branch", 2, &SelectColColBranch<T, T, Op>);
 }
 
 template <typename T>

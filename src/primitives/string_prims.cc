@@ -103,6 +103,8 @@ struct LikePattern {
   }
 };
 
+// The predicated select loop of Figure 2, shared by every string select: the
+// match result advances the output cursor, with no branch in the loop body.
 template <bool kNegate, typename Match>
 int SelectMatching(int n, int* res_sel, const char* const* a, const int* sel,
                    Match match) {
@@ -166,18 +168,8 @@ template <typename Op>
 int SelectStrColVal(int n, int* res_sel, const void* const* args, const int* sel) {
   const char* const* a = static_cast<const char* const*>(args[0]);
   const char* v = *static_cast<const char* const*>(args[1]);
-  int k = 0;
-  if (sel) {
-    for (int j = 0; j < n; j++) {
-      int i = sel[j];
-      if (Op::Apply(a[i], v)) res_sel[k++] = i;
-    }
-  } else {
-    for (int i = 0; i < n; i++) {
-      if (Op::Apply(a[i], v)) res_sel[k++] = i;
-    }
-  }
-  return k;
+  return SelectMatching<false>(n, res_sel, a, sel,
+                               [v](const char* s) { return Op::Apply(s, v); });
 }
 
 template <typename Op>
@@ -188,11 +180,13 @@ int SelectStrColCol(int n, int* res_sel, const void* const* args, const int* sel
   if (sel) {
     for (int j = 0; j < n; j++) {
       int i = sel[j];
-      if (Op::Apply(a[i], b[i])) res_sel[k++] = i;
+      res_sel[k] = i;
+      k += Op::Apply(a[i], b[i]);
     }
   } else {
     for (int i = 0; i < n; i++) {
-      if (Op::Apply(a[i], b[i])) res_sel[k++] = i;
+      res_sel[k] = i;
+      k += Op::Apply(a[i], b[i]);
     }
   }
   return k;

@@ -97,6 +97,23 @@ TEST(MilTest, GroupRefineAndAggregates) {
   }
 }
 
+TEST(MilTest, GroupedAggregatesOfEmptySelection) {
+  // A select that matches nothing leaves zero groups; the grouped aggregates
+  // must return empty results without clearing through a null pointer.
+  Bat k = MakeI32({4, 8, 15});
+  Bat f = MakeF64({1.0, 2.0, 3.0});
+  Bat oids = MilUSelect(nullptr, k, MilCmp::kLt, Value::I32(0));
+  ASSERT_EQ(oids.size(), 0);
+  int64_t ng = -1;
+  Bat g = MilGroup(nullptr, MilFetchJoin(nullptr, oids, k), &ng);
+  ASSERT_EQ(ng, 0);
+  for (const Bat* v : {&f, &k}) {  // the f64 and the integer sum
+    Bat vals = MilFetchJoin(nullptr, oids, *v);
+    EXPECT_EQ(MilSumGrouped(nullptr, vals, g, ng).size(), 0);
+  }
+  EXPECT_EQ(MilCountGrouped(nullptr, g, ng).size(), 0);
+}
+
 TEST(MilTest, MinMaxGrouped) {
   Bat g(TypeId::kI64);
   Bat v = MakeF64({5, 1, 9, 2, 7, 7});

@@ -1,8 +1,7 @@
 // Property tests for PredicateEvaluator: random and/or/comparison trees over
-// mixed-type data are checked against a scalar reference evaluator, in both
-// branch and predicated mode, across vector sizes — plus edge cases for
-// Between bounds, IN-lists, NOT LIKE, dictionary rewrites and column-vs-
-// expression comparisons.
+// mixed-type data are checked against a scalar reference evaluator across
+// vector sizes — plus edge cases for Between bounds, IN-lists, NOT LIKE,
+// dictionary rewrites and column-vs-expression comparisons.
 
 #include <functional>
 #include <set>
@@ -53,10 +52,8 @@ struct Dataset {
 
   /// Runs Select(pred) through the engine; returns matching `a` values in
   /// scan order.
-  std::vector<int32_t> Engine(ExprPtr pred, bool predicated = false,
-                              int vector_size = 256) const {
+  std::vector<int32_t> Engine(ExprPtr pred, int vector_size = 256) const {
     ExecContext ctx;
-    ctx.predicated_selects = predicated;
     ctx.vector_size = vector_size;
     OpPtr op = plan::Scan(&ctx, *table, {"a", "f", "tag", "day"});
     op = plan::Select(&ctx, std::move(op), std::move(pred));
@@ -103,11 +100,9 @@ TEST(PredicateTest, RandomAndOrTreesMatchReference) {
       bool lt = flip ? r.tag != vt : r.tag == vt;
       return use_or ? ((la && lf) || lt) : ((la || lf) && lt);
     });
-    for (bool predicated : {false, true}) {
-      for (int vs : {3, 256, 4096}) {
-        EXPECT_EQ(d.Engine(pred->Clone(), predicated, vs), ref)
-            << "trial " << trial << " predicated=" << predicated << " vs=" << vs;
-      }
+    for (int vs : {3, 256, 4096}) {
+      EXPECT_EQ(d.Engine(pred->Clone(), vs), ref)
+          << "trial " << trial << " vs=" << vs;
     }
   }
 }

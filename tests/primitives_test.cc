@@ -1,10 +1,12 @@
 // Unit + property tests for the vectorized primitives: every generated kernel
 // is checked against a scalar reference, with and without selection vectors,
-// and the branch/predicated select variants are checked for equivalence
-// across the full selectivity sweep of Figure 2.
+// and every compare select is checked in both Figure 2 shapes (the predicated
+// kernel the engine binds and its `_branch` twin) across selectivities 0-100%.
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,7 +36,7 @@ TEST(RegistryTest, PaperStyleNamesResolve) {
   EXPECT_NE(r.FindMap("map_mul_f64_col_f64_col"), nullptr);
   EXPECT_NE(r.FindMap("map_fetch_f64_col_u8_col"), nullptr);
   EXPECT_NE(r.FindSelect("select_lt_i32_col_i32_val"), nullptr);
-  EXPECT_NE(r.FindSelect("select_lt_i32_col_i32_val_pred"), nullptr);
+  EXPECT_NE(r.FindSelect("select_lt_i32_col_i32_val_branch"), nullptr);
   EXPECT_NE(r.FindAggr("aggr_sum_f64_col"), nullptr);
   EXPECT_NE(r.FindAggr("aggr_count"), nullptr);
   EXPECT_EQ(r.FindMap("map_frobnicate_f64_col"), nullptr);
@@ -129,49 +131,95 @@ TEST(MapIntArithTest, I32AndI64) {
   EXPECT_EQ(r64[1], 205);
 }
 
-// ---- select primitives: branch vs predicated, full selectivity sweep ---------
+// ---- select primitives: every compare, branch vs predicated vs reference ---
+
+// Each row of a case qualifies with probability `selectivity`%. For col-val
+// the row draws from the values in [base + 10, base + 109] that pass (or fail)
+// `op` against the constant base + 60; for col-col `b` is a-1, a or a+1,
+// whichever passes (or fails). base is -60 for signed types, so negative
+// values take part, and 0 for unsigned ones. Every range fits i8 and u8.
+bool CmpRef(const std::string& op, double a, double b) {
+  if (op == "lt") return a < b;
+  if (op == "le") return a <= b;
+  if (op == "gt") return a > b;
+  if (op == "ge") return a >= b;
+  if (op == "eq") return a == b;
+  return a != b;
+}
+
+template <typename T>
+void CheckCompares(const char* t, int selectivity) {
+  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
+  constexpr int kN = 2048;
+  const std::vector<int> sel = MakeSel(kN, 3);
+  for (const char* op : {"lt", "le", "gt", "ge", "eq", "ne"}) {
+    for (bool col_col : {false, true}) {
+      std::string name = std::string("select_") + op + "_" + t + "_col_" + t +
+                         (col_col ? "_col" : "_val");
+      const SelectPrimitive* pred = r.FindSelect(name);
+      const SelectPrimitive* branch = r.FindSelect(name + "_branch");
+      ASSERT_NE(pred, nullptr) << name;
+      ASSERT_NE(branch, nullptr) << name;
+
+      Rng rng(static_cast<uint64_t>(selectivity) * 131 + (col_col ? 7 : 0));
+      const int base = std::is_signed<T>::value ? -60 : 0;
+      std::vector<T> a(kN), b(kN);
+      const T v = static_cast<T>(base + 60);
+      for (int i = 0; i < kN; i++) {
+        bool want = rng.Uniform(0, 99) < selectivity;
+        if (col_col) {
+          int x = base + static_cast<int>(rng.Uniform(11, 108));
+          int d = static_cast<int>(rng.Uniform(0, 2));
+          while (CmpRef(op, x, x + d - 1) != want) d = (d + 1) % 3;
+          a[i] = static_cast<T>(x);
+          b[i] = static_cast<T>(x + d - 1);
+        } else {
+          int x = static_cast<int>(rng.Uniform(10, 109));
+          while (CmpRef(op, x, 60) != want) x = x == 109 ? 10 : x + 1;
+          a[i] = static_cast<T>(base + x);
+        }
+      }
+      const void* args[2] = {a.data(),
+                             col_col ? static_cast<const void*>(b.data()) : &v};
+
+      for (bool with_sel : {false, true}) {
+        const int* s = with_sel ? sel.data() : nullptr;
+        int n = with_sel ? static_cast<int>(sel.size()) : kN;
+        std::vector<int> ref;
+        for (int j = 0; j < n; j++) {
+          int i = s ? s[j] : j;
+          double rhs = static_cast<double>(col_col ? b[i] : v);
+          if (CmpRef(op, static_cast<double>(a[i]), rhs)) ref.push_back(i);
+        }
+        if (selectivity == 0) {
+          ASSERT_TRUE(ref.empty()) << name;
+        }
+        if (selectivity == 100) {
+          ASSERT_EQ(static_cast<int>(ref.size()), n) << name;
+        }
+        std::vector<int> out_p(kN), out_b(kN);
+        int kp = pred->fn(n, out_p.data(), args, s);
+        int kb = branch->fn(n, out_b.data(), args, s);
+        out_p.resize(static_cast<size_t>(kp));
+        out_b.resize(static_cast<size_t>(kb));
+        EXPECT_EQ(out_p, ref) << name << " sel=" << with_sel;
+        EXPECT_EQ(out_b, ref) << name << "_branch sel=" << with_sel;
+      }
+    }
+  }
+}
 
 class SelectSweepTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SelectSweepTest, BranchEqualsPredicatedAndReference) {
+TEST_P(SelectSweepTest, EveryCompareBranchEqualsPredicatedAndReference) {
   int selectivity = GetParam();  // percent
-  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
-  const SelectPrimitive* branch = r.FindSelect("select_lt_i32_col_i32_val");
-  const SelectPrimitive* pred = r.FindSelect("select_lt_i32_col_i32_val_pred");
-  ASSERT_NE(branch, nullptr);
-  ASSERT_NE(pred, nullptr);
-
-  constexpr int kN = 4096;
-  std::vector<int32_t> data(kN);
-  Rng rng(selectivity + 1);
-  for (int i = 0; i < kN; i++) data[i] = static_cast<int32_t>(rng.Uniform(0, 99));
-  int32_t v = selectivity;
-  const void* args[2] = {data.data(), &v};
-
-  std::vector<int> out_a(kN), out_b(kN), ref;
-  int ka = branch->fn(kN, out_a.data(), args, nullptr);
-  int kb = pred->fn(kN, out_b.data(), args, nullptr);
-  for (int i = 0; i < kN; i++) {
-    if (data[i] < v) ref.push_back(i);
-  }
-  ASSERT_EQ(ka, static_cast<int>(ref.size()));
-  ASSERT_EQ(kb, ka);
-  for (int i = 0; i < ka; i++) {
-    EXPECT_EQ(out_a[i], ref[i]);
-    EXPECT_EQ(out_b[i], ref[i]);
-  }
-
-  // Chained through an input selection vector (conjunction shape).
-  std::vector<int> sel = MakeSel(kN, 2);
-  int kc = branch->fn(static_cast<int>(sel.size()), out_a.data(), args, sel.data());
-  int kd = pred->fn(static_cast<int>(sel.size()), out_b.data(), args, sel.data());
-  std::vector<int> ref2;
-  for (int i : sel) {
-    if (data[i] < v) ref2.push_back(i);
-  }
-  ASSERT_EQ(kc, static_cast<int>(ref2.size()));
-  ASSERT_EQ(kd, kc);
-  for (int i = 0; i < kc; i++) EXPECT_EQ(out_a[i], ref2[i]);
+  CheckCompares<int8_t>("i8", selectivity);
+  CheckCompares<uint8_t>("u8", selectivity);
+  CheckCompares<int16_t>("i16", selectivity);
+  CheckCompares<uint16_t>("u16", selectivity);
+  CheckCompares<int32_t>("i32", selectivity);
+  CheckCompares<int64_t>("i64", selectivity);
+  CheckCompares<double>("f64", selectivity);
 }
 
 INSTANTIATE_TEST_SUITE_P(Selectivity, SelectSweepTest,
@@ -406,6 +454,75 @@ TEST(LikeTest, ShapeSpecializedPrimitivesMatchLikeMatch) {
   const char* p = "%ab%ba%";
   const void* args[2] = {&vals[1], &p};
   EXPECT_EQ(like->fn(1, got.data(), args, nullptr), 0);
+}
+
+// String compares and LIKE against strcmp/LikeMatch, with and without an input
+// selection vector. The constants pass none, some or all of the values, which
+// come from a small alphabet so equal pairs and pattern hits are common.
+TEST(StringSelectTest, ComparesAndLikeMatchReference) {
+  const PrimitiveRegistry& r = PrimitiveRegistry::Get();
+  constexpr int kN = 1024;
+  Rng rng(23);
+  std::vector<std::string> strs;
+  for (int i = 0; i < kN; i++) {
+    std::string x(static_cast<size_t>(rng.Uniform(0, 4)), ' ');
+    for (char& c : x) c = "ab"[rng.Uniform(0, 1)];
+    strs.push_back(x);
+  }
+  std::vector<const char*> a, b;
+  for (int i = 0; i < kN; i++) {
+    a.push_back(strs[static_cast<size_t>(i)].c_str());
+    b.push_back(strs[static_cast<size_t>(rng.Uniform(0, kN - 1))].c_str());
+  }
+  auto ref_op = [](const std::string& op, const char* x, const char* y) {
+    int c = std::strcmp(x, y);
+    if (op == "like") return LikeMatch(x, y);
+    if (op == "notlike") return !LikeMatch(x, y);
+    return CmpRef(op, c, 0);
+  };
+  const std::vector<int> sel = MakeSel(kN, 3);
+  std::vector<int> out(kN);
+  auto check = [&](const std::string& name, const std::string& op,
+                   const void* const* args, bool col_col, const char* v) {
+    const SelectPrimitive* prim = r.FindSelect(name);
+    ASSERT_NE(prim, nullptr) << name;
+    for (bool with_sel : {false, true}) {
+      const int* s = with_sel ? sel.data() : nullptr;
+      int n = with_sel ? static_cast<int>(sel.size()) : kN;
+      std::vector<int> ref;
+      for (int j = 0; j < n; j++) {
+        int i = s ? s[j] : j;
+        if (ref_op(op, a[static_cast<size_t>(i)],
+                   col_col ? b[static_cast<size_t>(i)] : v)) {
+          ref.push_back(i);
+        }
+      }
+      int k = prim->fn(n, out.data(), args, s);
+      EXPECT_EQ(std::vector<int>(out.begin(), out.begin() + k), ref)
+          << name << " '" << (col_col ? "" : v) << "' sel=" << with_sel;
+    }
+  };
+  for (const char* op : {"eq", "ne", "lt", "le", "gt", "ge"}) {
+    // "" passes none (lt) or all (ge); "ab" splits the values.
+    for (const char* v : {"", "ab", "bbbbb"}) {
+      const void* args[2] = {a.data(), &v};
+      check(std::string("select_") + op + "_str_col_str_val", op, args, false,
+            v);
+    }
+    const void* args[2] = {a.data(), b.data()};
+    check(std::string("select_") + op + "_str_col_str_col", op, args, true,
+          nullptr);
+  }
+  for (const char* op : {"like", "notlike"}) {
+    for (const char* v : {"%", "a%", "x%"}) {
+      const void* args[2] = {a.data(), &v};
+      check(std::string("select_") + op + "_str_col_str_val", op, args, false,
+            v);
+    }
+    const void* args[2] = {a.data(), b.data()};
+    check(std::string("select_") + op + "_str_col_str_col", op, args, true,
+          nullptr);
+  }
 }
 
 TEST(StringSelectTest, EqAndLike) {

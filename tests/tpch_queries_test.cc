@@ -63,16 +63,6 @@ TEST_P(TpchQueryTest, VectorSizeInvariance) {
   }
 }
 
-TEST_P(TpchQueryTest, PredicatedSelectsSameResult) {
-  int q = GetParam();
-  ExecContext a;
-  ExecContext b;
-  b.predicated_selects = true;
-  std::unique_ptr<Table> ra = RunX100Query(q, &a, *db_);
-  std::unique_ptr<Table> rb = RunX100Query(q, &b, *db_);
-  ExpectTablesEqual(*ra, *rb, 0.0);
-}
-
 TEST_P(TpchQueryTest, CompoundFusionSameResult) {
   int q = GetParam();
   ExecContext a;
