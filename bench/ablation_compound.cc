@@ -2,7 +2,9 @@
 // sub-trees compiled into one loop) run ~2x faster than chains of
 // single-function primitives, because intermediates stay in registers
 // instead of passing through load/stores. Measured on the paper's own
-// example (the Mahalanobis distance) and on Q1's (1-discount)*price.
+// example (the Mahalanobis distance) and on Q1's (1-discount)*price; the
+// compound side is the generated fused-chain kernel (primitives/fused_gen.h)
+// the binder binds for each shape.
 
 #include <cstdio>
 #include <vector>
@@ -52,7 +54,7 @@ int main() {
     }
   };
   auto run_fused_mahal = [&] {
-    const MapPrimitive* m = r.FindMap("map_mahalanobis_f64");
+    const MapPrimitive* m = r.FindMap("map_fused_sub_cc_square_p_div_pc_f64");
     for (int v = 0; v < kVecs; v++) {
       const void* args[3] = {cols.a.data(), cols.b.data(), cols.c.data()};
       m->fn(kVec, cols.out.data(), args, nullptr);
@@ -70,10 +72,10 @@ int main() {
     }
   };
   auto run_fused_submul = [&] {
-    const MapPrimitive* m = r.FindMap("map_fused_submul_f64");
+    const MapPrimitive* m = r.FindMap("map_fused_sub_vc_mul_pc_f64");
     double one = 1.0;
     for (int v = 0; v < kVecs; v++) {
-      const void* args[3] = {cols.a.data(), cols.b.data(), &one};
+      const void* args[3] = {&one, cols.a.data(), cols.b.data()};
       m->fn(kVec, cols.out.data(), args, nullptr);
     }
   };

@@ -1,17 +1,15 @@
-// Hash-table micro-bench: builds and probes every HashImpl (chained /
-// linear open-addressing / bucketized cuckoo) head-to-head at a
-// cache-resident size and at an SF=0.1-class build size, exporting
-// BENCH_hashtable.json for the CI gate (bench/baselines/hashtable.json).
+// Hash-table micro-bench: builds and probes the engine's linear-probing
+// table at a cache-resident size and at an SF=0.1-class build size,
+// exporting BENCH_hashtable.json for the CI gate
+// (bench/baselines/hashtable.json).
 //
-// Measured per impl and size:
-//   build_<impl>_<size>            seconds per rep (insert all keys)
-//   probe_<impl>_<size>            seconds per rep (probe the whole stream)
+// Measured per size (series keep the "linear" tag of the layout they time):
+//   build_linear_<size>            seconds per rep (insert all keys)
+//   probe_linear_<size>            seconds per rep (probe the whole stream)
 //   build/probe _ns_per_tuple      scalars from the best rep
-//   probe_<impl>_large_llc_miss_per_tuple   counter scalar, only when the
+//   probe_linear_<size>_llc_miss_per_tuple   counter scalar, only when the
 //        machine exposes a PMU (absent on perf-less runners; the baseline
 //        marks these "counter": true so ABSENT passes the gate)
-// plus the gated headline: linear_vs_chained_probe_speedup_large — the new
-// default must beat the chained layout on probe ns/tuple at the large size.
 //
 // The stream above is all hits. Most TPC-H probes miss, so a second,
 // join-level set runs HashJoinOp (semi and inner) at 1% and 10% hit rates:
@@ -132,11 +130,8 @@ int main() {
       {"small", size_t{1} << 12, size_t{1} << 20},
       {"large", size_t{1} << 18, size_t{1} << 22},
   };
-  const HashImpl impls[] = {HashImpl::kChained, HashImpl::kLinear,
-                            HashImpl::kCuckoo};
 
   BenchExport out("hashtable");
-  double probe_best_large[3] = {0, 0, 0};
 
   for (const SizeClass& sz : sizes) {
     // Distinct keys, hashed once up front (the engine hashes via the
@@ -154,58 +149,44 @@ int main() {
       stream[i] = build_hash[(s >> 33) % sz.build_keys];
     }
 
-    for (int ii = 0; ii < 3; ii++) {
-      HashImpl impl = impls[ii];
-      std::string tag = std::string(HashImplName(impl)) + "_" + sz.name;
-      HashTable t(impl);
-      HashTable::Probe p;
+    std::string tag = std::string("linear_") + sz.name;
+    HashTable t;
+    HashTable::Probe p;
 
-      RepSet build = MeasureReps(reps, [&] { BuildTable(&t, &p, build_hash); });
-      if (t.size() != sz.build_keys) {
-        std::fprintf(stderr, "[bench] BUG: %s built %zu of %zu keys\n",
-                     tag.c_str(), t.size(), sz.build_keys);
-        return 1;
-      }
-
-      uint64_t sink = 0;
-      RepSet probe =
-          MeasureReps(reps, [&] { sink += ProbeTable(&t, &p, stream); });
-      if (sink == uint64_t{0xFFFFFFFFFFFFFFFFull}) std::fprintf(stderr, "-");
-
-      out.AddReps("build_" + tag, build);
-      out.AddReps("probe_" + tag, probe);
-      double build_ns = build.Best() * 1e9 / static_cast<double>(sz.build_keys);
-      double probe_ns = probe.Best() * 1e9 / static_cast<double>(sz.probes);
-      out.AddScalar("build_" + tag + "_ns_per_tuple", build_ns, "ns");
-      out.AddScalar("probe_" + tag + "_ns_per_tuple", probe_ns, "ns");
-      std::fprintf(stderr,
-                   "[bench] %-14s build %6.2f ns/key  probe %6.2f ns/probe\n",
-                   tag.c_str(), build_ns, probe_ns);
-
-      // Cache misses per probe: only when every rep measured the counter.
-      uint32_t mask = probe.PerfMask();
-      if (mask & (1u << static_cast<int>(PerfEvent::kCacheMisses))) {
-        uint64_t best_miss = ~uint64_t{0};
-        for (const PerfCounterValues& v : probe.perf) {
-          uint64_t m = v.Get(PerfEvent::kCacheMisses);
-          if (m < best_miss) best_miss = m;
-        }
-        out.AddScalar("probe_" + tag + "_llc_miss_per_tuple",
-                      static_cast<double>(best_miss) /
-                          static_cast<double>(sz.probes));
-      }
-
-      if (std::string(sz.name) == "large") probe_best_large[ii] = probe.Best();
+    RepSet build = MeasureReps(reps, [&] { BuildTable(&t, &p, build_hash); });
+    if (t.size() != sz.build_keys) {
+      std::fprintf(stderr, "[bench] BUG: %s built %zu of %zu keys\n",
+                   tag.c_str(), t.size(), sz.build_keys);
+      return 1;
     }
-  }
 
-  // The headline CI gate: the engine default (linear) must beat the legacy
-  // chained layout on probe time at the large size.
-  if (probe_best_large[1] > 0) {
-    out.AddScalar("linear_vs_chained_probe_speedup_large",
-                  probe_best_large[0] / probe_best_large[1], "x");
-    out.AddScalar("cuckoo_vs_chained_probe_speedup_large",
-                  probe_best_large[0] / probe_best_large[2], "x");
+    uint64_t sink = 0;
+    RepSet probe =
+        MeasureReps(reps, [&] { sink += ProbeTable(&t, &p, stream); });
+    if (sink == uint64_t{0xFFFFFFFFFFFFFFFFull}) std::fprintf(stderr, "-");
+
+    out.AddReps("build_" + tag, build);
+    out.AddReps("probe_" + tag, probe);
+    double build_ns = build.Best() * 1e9 / static_cast<double>(sz.build_keys);
+    double probe_ns = probe.Best() * 1e9 / static_cast<double>(sz.probes);
+    out.AddScalar("build_" + tag + "_ns_per_tuple", build_ns, "ns");
+    out.AddScalar("probe_" + tag + "_ns_per_tuple", probe_ns, "ns");
+    std::fprintf(stderr,
+                 "[bench] %-14s build %6.2f ns/key  probe %6.2f ns/probe\n",
+                 tag.c_str(), build_ns, probe_ns);
+
+    // Cache misses per probe: only when every rep measured the counter.
+    uint32_t mask = probe.PerfMask();
+    if (mask & (1u << static_cast<int>(PerfEvent::kCacheMisses))) {
+      uint64_t best_miss = ~uint64_t{0};
+      for (const PerfCounterValues& v : probe.perf) {
+        uint64_t m = v.Get(PerfEvent::kCacheMisses);
+        if (m < best_miss) best_miss = m;
+      }
+      out.AddScalar("probe_" + tag + "_llc_miss_per_tuple",
+                    static_cast<double>(best_miss) /
+                        static_cast<double>(sz.probes));
+    }
   }
 
   // Miss-heavy join series: dense-key filter against the hash path.

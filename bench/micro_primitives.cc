@@ -116,9 +116,9 @@ BENCHMARK(BM_AggrSumGrouped);
 
 void BM_FusedSubMul(benchmark::State& state) {
   const MapPrimitive* p =
-      PrimitiveRegistry::Get().FindMap("map_fused_submul_f64");
+      PrimitiveRegistry::Get().FindMap("map_fused_sub_vc_mul_pc_f64");
   double one = 1.0;
-  const void* args[3] = {D().a.data(), D().b.data(), &one};
+  const void* args[3] = {&one, D().a.data(), D().b.data()};
   for (auto _ : state) {
     p->fn(kVec, D().res.data(), args, nullptr);
     benchmark::DoNotOptimize(D().res.data());

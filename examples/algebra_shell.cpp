@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -65,7 +66,14 @@ int main(int argc, char** argv) {
       continue;
     }
     uint64_t t0 = NowNanos();
-    std::unique_ptr<Table> result = RunPlan(std::move(op), "result");
+    std::unique_ptr<Table> result;
+    try {
+      result = RunPlan(std::move(op), "result");
+    } catch (const std::exception& e) {
+      // Operators that bind when they open (Select) report bad input here.
+      std::printf("error: %s\n\n", e.what());
+      continue;
+    }
     double ms = (NowNanos() - t0) / 1e6;
     std::printf("%s(%lld rows, %.1f ms)\n\n",
                 FormatTable(*result, 40).c_str(),

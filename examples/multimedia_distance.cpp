@@ -3,7 +3,9 @@
 // the Mahalanobis distance /(square(-(double*,double*)),double*) from
 // multimedia retrieval — executed two ways:
 //   1. as a chain of single-function vectorized primitives (sub, square, div)
-//   2. as one compound primitive (the whole sub-tree in one loop)
+//   2. as one compound primitive (the whole sub-tree in one loop): the
+//      binder's chain fuser binds the same expression to the generated
+//      sub_cc > square_p > div_pc kernel
 // and reports the speedup of the compound form (the paper sees ~2x).
 //
 //   $ ./build/examples/multimedia_distance
@@ -19,24 +21,17 @@ using namespace x100::exprs;
 
 namespace {
 
-double RunVariant(ExecContext* ctx, const Table& t, bool compound) {
-  ExprPtr dist;
-  if (compound) {
-    std::vector<ExprPtr> args;
-    args.push_back(Col("x"));
-    args.push_back(Col("mu"));
-    args.push_back(Col("sigma"));
-    dist = Expr::Call("mahalanobis", std::move(args));
-  } else {
-    dist = Div(Square(Sub(Col("x"), Col("mu"))), Col("sigma"));
-  }
-  auto plan = plan::Scan(ctx, t, {"x", "mu", "sigma"});
+double RunVariant(const Table& t, bool compound) {
+  ExecContext ctx;
+  ctx.fuse_compound_primitives = compound;
+  ExprPtr dist = Div(Square(Sub(Col("x"), Col("mu"))), Col("sigma"));
+  auto plan = plan::Scan(&ctx, t, {"x", "mu", "sigma"});
   std::vector<NamedExpr> exprs;
   exprs.push_back(As("d", std::move(dist)));
-  plan = plan::Project(ctx, std::move(plan), std::move(exprs));
+  plan = plan::Project(&ctx, std::move(plan), std::move(exprs));
   std::vector<AggrSpec> aggrs;
   aggrs.push_back(Sum("total", Col("d")));
-  plan = plan::HashAggr(ctx, std::move(plan), {}, std::move(aggrs));
+  plan = plan::HashAggr(&ctx, std::move(plan), {}, std::move(aggrs));
 
   uint64_t t0 = NowNanos();
   std::unique_ptr<Table> r = RunPlan(std::move(plan), "dist");
@@ -60,12 +55,11 @@ int main() {
   }
   vecs->Freeze();
 
-  ExecContext ctx;
   std::printf("Mahalanobis distance over %lld tuples:\n",
               static_cast<long long>(vecs->num_rows()));
-  RunVariant(&ctx, *vecs, false);  // warm-up + chained
-  double chained = RunVariant(&ctx, *vecs, false);
-  double compound = RunVariant(&ctx, *vecs, true);
+  RunVariant(*vecs, false);  // warm-up + chained
+  double chained = RunVariant(*vecs, false);
+  double compound = RunVariant(*vecs, true);
   std::printf("compound speedup: %.2fx\n", chained / compound);
   return 0;
 }

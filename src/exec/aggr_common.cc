@@ -1,5 +1,6 @@
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "exec/aggr_internal.h"
 
@@ -85,8 +86,8 @@ void BindAggr(ExecContext* ctx, const AggrSpec& spec, TypeId input_type,
   }
   out->prim = PrimitiveRegistry::Get().FindAggr(name);
   if (out->prim == nullptr) {
-    std::fprintf(stderr, "bind error: no aggregate primitive '%s'\n", name.c_str());
-    X100_CHECK(false);
+    throw std::invalid_argument("aggregate '" + spec.output +
+                                "': no primitive '" + name + "'");
   }
   out->state_type = out->prim->state_type;
   out->stats = ctx->profiler ? ctx->profiler->GetStats(name) : nullptr;
@@ -99,7 +100,10 @@ std::vector<int> BuildAggrSchema(const Schema& child,
   std::vector<int> key_cols;
   for (const std::string& g : group_by) {
     int ci = child.Find(g);
-    X100_CHECK(ci >= 0);
+    if (ci < 0) {
+      throw std::invalid_argument("no group-by column '" + g + "' in " +
+                                  child.ToString());
+    }
     key_cols.push_back(ci);
     schema->Add(child.field(ci));
   }

@@ -2,6 +2,7 @@
 
 #include "common/metrics.h"
 #include "exec/aggr_internal.h"
+#include "exec/hash_table.h"
 
 namespace x100 {
 
@@ -12,11 +13,9 @@ using aggr_internal::BoundAggr;
 // shared hash-table layer assigns each tuple its group slot, and the aggr_*
 // primitives update the accumulators (the hash-table-maintenance half of
 // Figure 6). New groups are created in first-encounter (lane) order, so
-// group ids — and therefore output row order — are identical across every
-// HashImpl.
+// group ids — and therefore output row order — follow the input, not the
+// slot layout.
 struct HashAggrOp::Impl {
-  explicit Impl(HashImpl hash_impl) : table(hash_impl) {}
-
   std::unique_ptr<MultiExprEvaluator> inputs;
   std::vector<BoundAggr> aggrs;
 
@@ -100,7 +99,7 @@ HashAggrOp::~HashAggrOp() = default;
 
 void HashAggrOp::Open() {
   child_->Open();
-  impl_ = std::make_unique<Impl>(ctx_->hash_impl);
+  impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
 
   im.inputs = aggr_internal::BindAggrInputs(

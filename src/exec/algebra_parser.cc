@@ -148,6 +148,19 @@ class ParserImpl {
     std::string name = Ident();
     Expect(Token::Kind::kSymbol, "(");
     std::unique_ptr<Operator> op;
+    try {
+      op = ParseOperatorBody(name);
+    } catch (const std::invalid_argument& e) {
+      // Operators check their inputs when they are constructed (join keys,
+      // bound expressions); a bad one in user text is a parse error.
+      Fail(e.what());
+    }
+    Expect(Token::Kind::kSymbol, ")");
+    return op;
+  }
+
+  std::unique_ptr<Operator> ParseOperatorBody(const std::string& name) {
+    std::unique_ptr<Operator> op;
     if (name == "Table" || name == "Scan") {
       op = ParseTable();
     } else if (name == "Select") {
@@ -205,12 +218,8 @@ class ParserImpl {
       }
       if (name == "SemiJoin") spec.type = JoinType::kSemi;
       if (name == "AntiJoin") spec.type = JoinType::kAnti;
-      try {
-        op = plan::Join(ctx_, std::move(probe), std::move(build),
-                        std::move(spec));
-      } catch (const std::invalid_argument& e) {
-        Fail(e.what());  // bad key names or types in user text
-      }
+      op = plan::Join(ctx_, std::move(probe), std::move(build),
+                      std::move(spec));
     } else if (name == "Fetch1Join") {
       auto child = ParseOperator();
       Expect(Token::Kind::kSymbol, ",");
@@ -225,7 +234,6 @@ class ParserImpl {
     } else {
       Fail("unknown operator '" + name + "'");
     }
-    Expect(Token::Kind::kSymbol, ")");
     return op;
   }
 
@@ -234,7 +242,12 @@ class ParserImpl {
     const Table* table = catalog_.Find(name);
     if (table == nullptr) Fail("unknown table '" + name + "'");
     ScanSpec spec;
-    while (Accept(Token::Kind::kSymbol, ",")) spec.cols.push_back(Ident());
+    while (Accept(Token::Kind::kSymbol, ",")) {
+      spec.cols.push_back(Ident());
+      if (table->schema().Find(spec.cols.back()) < 0) {
+        Fail("no column '" + spec.cols.back() + "' in table '" + name + "'");
+      }
+    }
     if (spec.cols.empty()) {
       // All declared (non-index) columns.
       for (const Field& f : table->schema().fields()) {

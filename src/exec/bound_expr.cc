@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "exec/trace.h"
 #include "primitives/fused.h"
@@ -44,7 +45,8 @@ TypeId CommonType(TypeId a, TypeId b) {
   b = PrimType(b);
   if (a == b) return a;
   if (a == TypeId::kStr || b == TypeId::kStr) {
-    X100_CHECK(a == b);  // no implicit string conversions
+    throw std::invalid_argument("no implicit conversion between a string and "
+                                "a number");
   }
   TypeId aa = ArithType(a), bb = ArithType(b);
   if (aa == TypeId::kF64 || bb == TypeId::kF64) return TypeId::kF64;
@@ -57,10 +59,21 @@ bool IsComparisonFn(const std::string& fn) {
          fn == "ne" || fn == "like" || fn == "notlike";
 }
 
+/// Argument count of a value function the binder knows; -1 for any other
+/// name (predicates included: they bind through PredicateEvaluator).
+int ValueFnArity(const std::string& fn) {
+  if (fn == "add" || fn == "sub" || fn == "mul" || fn == "div") return 2;
+  if (fn == "sqrt" || fn == "square" || fn == "neg" || fn == "dbl" ||
+      fn == "i64" || fn == "year" || fn == "widen") {
+    return 1;
+  }
+  return -1;
+}
+
 /// Op kind of a call node the chain fuser can absorb, checked against the
 /// node's explicit arity (a malformed `sub` with one argument must not be
-/// treated as a binary candidate — it falls through to the generic path's
-/// arity CHECK).
+/// treated as a binary candidate — it falls through to BindCall's arity
+/// error).
 std::optional<fused::OpK> FusibleOp(const std::string& fn, size_t arity) {
   using fused::OpK;
   if (arity == 2) {
@@ -73,6 +86,16 @@ std::optional<fused::OpK> FusibleOp(const std::string& fn, size_t arity) {
     if (fn == "square") return OpK::kSquare;
   }
   return std::nullopt;
+}
+
+/// True when `e` reads a column. Only then does it bind to a vector: a call
+/// over constants alone, such as dbl(2.0), binds to a constant.
+bool ReadsColumn(const Expr& e) {
+  if (e.kind() == Expr::Kind::kColumn) return true;
+  for (const ExprPtr& a : e.args()) {
+    if (ReadsColumn(*a)) return true;
+  }
+  return false;
 }
 
 /// Minimum intermediate-vector traffic (bytes/tuple) a fused chain must
@@ -209,12 +232,18 @@ ValueNode Program::Cast(ValueNode node, TypeId to) {
     // kept; reconstruct from the slot via widths. Callers avoid this path by
     // binding constants with their final type, so keep it simple: constants
     // are always bound via BindValue which stores pre-converted values.
-    X100_CHECK(false && "constants are converted at bind time");
+    // User text such as dbl(4) still reaches here: reject it.
+    throw std::invalid_argument(label_ + ": a constant cannot be converted "
+                                "here; write it as a literal of type " +
+                                TypeName(to));
   }
   std::string name = std::string("map_cast_") + PrimTypeName(to) + "_" +
                      PrimTypeName(node.type) + "_col";
   const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-  X100_CHECK(prim != nullptr);
+  if (prim == nullptr) {
+    throw std::invalid_argument(label_ + ": cannot convert " +
+                                TypeName(node.type) + " to " + TypeName(to));
+  }
 
   MapStep step;
   step.prim = prim;
@@ -252,10 +281,6 @@ std::optional<TypeId> Program::InferType(const Schema& input,
   }
   const std::string& fn = expr.name();
   const auto& args = expr.args();
-  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
-    return args.size() == 3 ? std::optional<TypeId>(TypeId::kF64)
-                            : std::nullopt;
-  }
   if (fn == "sqrt" || fn == "square") {
     return args.size() == 1 ? std::optional<TypeId>(TypeId::kF64)
                             : std::nullopt;
@@ -442,7 +467,7 @@ bool Program::TryFuseChain(const Schema& input, const Expr& expr,
 
   // Validate leaves: constants must be numeric (StoreConst converts them to
   // T exactly like the generic path), columns/subtrees must bind to a
-  // castable non-string type. Still no emission.
+  // castable non-string vector. Still no emission.
   size_t saved = 2 * TypeWidth(T) * (chain.size() - 1);
   if (saved < kMinFusedSavedBytes) return false;
   for (const Link& l : chain) {
@@ -452,7 +477,7 @@ bool Program::TryFuseChain(const Schema& input, const Expr& expr,
         if (leaf->value().type() == TypeId::kStr) return false;
       } else {
         std::optional<TypeId> lt = InferType(input, *leaf);
-        if (!lt || *lt == TypeId::kStr) return false;
+        if (!lt || *lt == TypeId::kStr || !ReadsColumn(*leaf)) return false;
       }
     }
   }
@@ -503,10 +528,8 @@ ValueNode Program::BindValue(const Schema& input, const Expr& expr) {
     case Expr::Kind::kColumn: {
       int ci = input.Find(expr.name());
       if (ci < 0) {
-        std::fprintf(stderr, "bind error in %s: no column '%s' in %s\n",
-                     label_.c_str(), expr.name().c_str(),
-                     input.ToString().c_str());
-        X100_CHECK(false);
+        throw std::invalid_argument(label_ + ": no column '" + expr.name() +
+                                    "' in " + input.ToString());
       }
       const Field& f = input.field(ci);
       node.ref = {ArgRef::Src::kBatchCol, ci, nullptr, true, TypeWidth(f.type)};
@@ -530,7 +553,26 @@ ValueNode Program::BindValue(const Schema& input, const Expr& expr) {
 
 ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   const std::string& fn = expr.name();
-  X100_CHECK(!IsComparisonFn(fn) && fn != "and" && fn != "or");
+  // Algebra text from users reaches here (the shell, server requests): a
+  // malformed call is an error the caller reports, never an abort.
+  const int arity = ValueFnArity(fn);
+  if (arity < 0) {
+    throw std::invalid_argument(
+        label_ + ": " +
+        (IsComparisonFn(fn) || fn == "and" || fn == "or" || fn == "not"
+             ? "predicate '" + fn + "' is not a value expression"
+             : "unknown function '" + fn + "'"));
+  }
+  if (static_cast<int>(expr.args().size()) != arity) {
+    throw std::invalid_argument(label_ + ": function '" + fn + "' takes " +
+                                std::to_string(arity) + " argument" +
+                                (arity == 1 ? "" : "s") + ", got " +
+                                std::to_string(expr.args().size()));
+  }
+  auto need_column = [&] {
+    throw std::invalid_argument(label_ + ": function '" + fn +
+                                "' needs a column argument");
+  };
 
   // Adaptive chain fusion (§4.2 generalized): probe for a 2..4-node
   // arithmetic chain rooted here whose pre-generated kernel exists in the
@@ -541,47 +583,12 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
     if (TryFuseChain(input, expr, &fused_out)) return fused_out;
   }
 
-  // Compound primitives: fused_submul(V,a,b) = (V-a)*b; fused_addmul(V,a,b) =
-  // (V+a)*b; mahalanobis(a,b,c) = (a-b)^2/c. All f64 (§4.2).
-  if (fn == "fused_submul" || fn == "fused_addmul" || fn == "mahalanobis") {
-    X100_CHECK(expr.args().size() == 3);
-    std::vector<ValueNode> args;
-    for (const ExprPtr& a : expr.args()) {
-      args.push_back(Cast(Decode(BindValue(input, *a)), TypeId::kF64));
-    }
-    MapStep step;
-    std::string name;
-    if (fn == "mahalanobis") {
-      name = "map_mahalanobis_f64";
-      X100_CHECK(args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col);
-      step.args = {args[0].ref, args[1].ref, args[2].ref};
-    } else {
-      name = "map_fused_" + fn.substr(6) + "_f64";
-      X100_CHECK(!args[0].ref.is_col && args[1].ref.is_col && args[2].ref.is_col);
-      step.args = {args[1].ref, args[2].ref, args[0].ref};
-    }
-    step.prim = PrimitiveRegistry::Get().FindMap(name);
-    X100_CHECK(step.prim != nullptr);
-    step.res_reg = AllocReg(TypeId::kF64);
-    step.stats = Stats(name);
-    step.bytes_per_tuple = 8;
-    for (const ValueNode& a : args) {
-      if (a.ref.is_col) step.bytes_per_tuple += 8;
-    }
-    steps_.push_back(std::move(step));
-    ValueNode out;
-    out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, 8};
-    out.type = TypeId::kF64;
-    return out;
-  }
-
   if (fn == "sqrt" || fn == "square" || fn == "neg") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
+    if (!a.ref.is_col) need_column();
     TypeId t = fn == "neg" && ArithType(a.type) == TypeId::kI64 ? TypeId::kI64
                                                                 : TypeId::kF64;
     a = Cast(a, t);
-    X100_CHECK(a.ref.is_col);
     std::string name = "map_" + fn + "_" + PrimTypeName(t) + "_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     X100_CHECK(prim != nullptr);
@@ -600,16 +607,18 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
 
   // Explicit cast functions used by plans: dbl(x), i64(x).
   if (fn == "dbl" || fn == "i64") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
     return Cast(a, fn == "dbl" ? TypeId::kF64 : TypeId::kI64);
   }
 
   // year(x): calendar year of a date column.
   if (fn == "year") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
-    X100_CHECK(PrimType(a.type) == TypeId::kI32 && a.ref.is_col);
+    if (!a.ref.is_col) need_column();
+    if (PrimType(a.type) != TypeId::kI32) {
+      throw std::invalid_argument(label_ + ": function 'year' needs a date, "
+                                  "got " + TypeName(a.type));
+    }
     std::string name = "map_year_i32_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     MapStep step;
@@ -628,17 +637,14 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   // widen(x): decode and promote to an aggregation-friendly type
   // (i32 / i64 / f64 / str); used on aggregate inputs.
   if (fn == "widen") {
-    X100_CHECK(expr.args().size() == 1);
     ValueNode a = Decode(BindValue(input, *expr.args()[0]));
     if (a.type == TypeId::kStr) return a;
     return Cast(a, ArithType(a.type));
   }
 
-  // Generic binary arithmetic.
-  X100_CHECK(expr.args().size() == 2);
+  // Generic binary arithmetic: add, sub, mul, div.
   const Expr& le = *expr.args()[0];
   const Expr& re = *expr.args()[1];
-  X100_CHECK(fn == "add" || fn == "sub" || fn == "mul" || fn == "div");
 
   ValueNode l = Decode(BindValue(input, le));
   ValueNode r = Decode(BindValue(input, re));
@@ -656,16 +662,15 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
   } else {
     r = Cast(r, t);
   }
-  X100_CHECK(l.ref.is_col || r.ref.is_col);
+  if (!l.ref.is_col && !r.ref.is_col) need_column();
 
   std::string name = "map_" + fn + "_" + PrimTypeName(t) +
                      (l.ref.is_col ? "_col_" : "_val_") + PrimTypeName(t) +
                      (r.ref.is_col ? "_col" : "_val");
   const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
   if (prim == nullptr) {
-    std::fprintf(stderr, "bind error in %s: no primitive '%s'\n", label_.c_str(),
-                 name.c_str());
-    X100_CHECK(false);
+    throw std::invalid_argument(label_ + ": function '" + fn +
+                                "' has no primitive '" + name + "'");
   }
   MapStep step;
   step.prim = prim;

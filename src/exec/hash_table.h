@@ -13,36 +13,29 @@
 // enum-code keys alike. Slot lines are software-prefetched a fixed distance
 // ahead of the probing lane.
 //
-// Three interchangeable implementations sit behind one API so
-// bench/hash_table.cc can race them head-to-head and EXPERIMENTS E17 can
-// report cache misses per tuple:
-//   - kChained: bucket array of entry-chain heads (the pre-rewrite layout).
-//   - kLinear:  open addressing, linear probing over a contiguous
-//               (tag, entry) slot array; 8-byte slots, 8 per cache line.
-//   - kCuckoo:  bucketized cuckoo (2 hash functions, 4-slot buckets) with
-//               displacement on insert; probes touch at most 2 lines.
-// The engine default is kLinear; env X100_HASH_IMPL
-// (chained|linear|cuckoo) or ExecContext::hash_impl overrides per query.
+// The layout is open addressing with linear probing over a contiguous
+// (tag, entry) slot array: 8-byte slots, 8 per cache line, so a probe's
+// scan stays on one or two lines. It won EXPERIMENTS E17 against a chained
+// bucket array and a bucketized cuckoo table at both cache-resident and
+// out-of-cache sizes.
 //
 // Keys are unique: duplicate-key handling (a join build side) lives in the
 // caller, which keeps one entry per distinct key and chains further rows
-// through its own next-array. That keeps match-emission order identical
-// across implementations (bit-identical query results) and keeps the cuckoo
-// variant free of same-key displacement cycles.
+// through its own next-array, so match-emission order is fixed by the
+// caller, not by the slot layout.
 //
 // Growth is power-of-two and happens only in Reset()/Reserve() — never
 // inside the probe loop — so callers reserve a batch's worth of headroom up
 // front and probe cursors stay valid for the whole batch.
 //
 // Sizing rule. Tables that grow while they are filled (hash aggregation
-// discovers its groups as it goes) run up to each layout's load ceiling —
-// 7/8 for linear probing — and double past it. A join knows its final build
-// count before the first insert, so HashJoin sizes its table once with
-// ResetForBuild(): capacity for at most 1/2 load. A miss under linear
-// probing scans about (1 + 1/(1-a)^2)/2 slots at load a — ~32 at 7/8, 2.5
-// at 1/2 — and most TPC-H probes miss, so the extra slots pay for
-// themselves; ht.grows stays 0 because nothing is ever inserted past the
-// count the table was sized for.
+// discovers its groups as it goes) run up to a 7/8 load ceiling and double
+// past it. A join knows its final build count before the first insert, so
+// HashJoin sizes its table once with ResetForBuild(): capacity for at most
+// 1/2 load. A miss under linear probing scans about (1 + 1/(1-a)^2)/2
+// slots at load a — ~32 at 7/8, 2.5 at 1/2 — and most TPC-H probes miss, so
+// the extra slots pay for themselves; ht.grows stays 0 because nothing is
+// ever inserted past the count the table was sized for.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,27 +45,17 @@ namespace x100 {
 
 struct TraceNode;
 
-/// Physical hash-table layout, selectable per query.
-enum class HashImpl { kChained, kLinear, kCuckoo };
-
-/// env X100_HASH_IMPL: "chained" | "linear" | "cuckoo" (default linear —
-/// the bench winner). Malformed values are fatal (strict-knob contract).
-HashImpl EnvHashImpl();
-
-const char* HashImplName(HashImpl impl);
-
 /// Lifetime activity counters, surfaced as ht.* trace counters on the
-/// owning operator's EXPLAIN ANALYZE node and as ht.<impl>.* registry
-/// metrics. slot_scans/probes is the mean probe displacement.
+/// owning operator's EXPLAIN ANALYZE node and as ht.* registry metrics.
+/// slot_scans/probes is the mean probe displacement.
 struct HashTableStats {
   uint64_t probes = 0;         ///< lanes entered into a probe pass
   uint64_t probe_rounds = 0;   ///< vectorized rounds over active lanes
-  uint64_t slot_scans = 0;     ///< slots (or chain entries) examined
+  uint64_t slot_scans = 0;     ///< slots examined
   uint64_t candidates = 0;     ///< full-hash matches handed to the caller
   uint64_t key_rejects = 0;    ///< candidates the caller's key compare killed
   uint64_t inserts = 0;        ///< distinct entries created
   uint64_t grows = 0;          ///< capacity rebuilds
-  uint64_t displacements = 0;  ///< cuckoo evictions while placing entries
 };
 
 class HashTable {
@@ -104,24 +87,20 @@ class HashTable {
     std::vector<uint64_t> hash_;
     std::vector<uint32_t> result_;
     std::vector<uint32_t> result_entry_;
-    std::vector<uint32_t> cursor_;  // impl-specific scan position
-    std::vector<uint8_t> phase_;    // cuckoo bucket phase / scalar restart
+    std::vector<uint32_t> cursor_;  // next slot to scan
     std::vector<int> active_;
     std::vector<int> cand_lane_;
     std::vector<uint32_t> cand_entry_;
-    int n_ = 0;
   };
 
-  explicit HashTable(HashImpl impl);
-  HashTable();  // EnvHashImpl()
+  HashTable();
 
-  HashImpl impl() const { return impl_; }
   size_t size() const { return entries_count_; }
   size_t capacity() const { return capacity_; }
   const HashTableStats& stats() const { return stats_; }
 
   /// Drops all entries and pre-sizes for `expected` distinct keys at the
-  /// layout's load ceiling; further inserts grow the table.
+  /// load ceiling; further inserts grow the table.
   /// Lifetime stats are kept (radix join resets once per partition).
   void Reset(size_t expected);
 
@@ -172,12 +151,12 @@ class HashTable {
   }
 
   /// Adds activity since the last publish to `node` (ht.* counters, when
-  /// tracing) and to the metrics registry (ht.<impl>.*), then zeroes the
+  /// tracing) and to the metrics registry (ht.*), then zeroes the
   /// published window.
   void PublishStats(TraceNode* node);
 
  private:
-  struct Slot {          // linear + cuckoo
+  struct Slot {
     uint32_t tag;        // hash >> 32
     uint32_t entry1;     // entry index + 1; 0 = empty
   };
@@ -188,35 +167,17 @@ class HashTable {
 
   static uint32_t Tag(uint64_t h) { return static_cast<uint32_t>(h >> 32); }
   size_t HomeSlot(uint64_t h) const { return h & mask_; }
-  // Cuckoo: 4-slot buckets; the partner bucket is derivable from (bucket,
-  // tag) alone so displaced entries can hop without a hash lookup.
-  size_t Bucket1(uint64_t h) const { return h & mask_; }
-  size_t AltBucket(size_t b, uint32_t tag) const {
-    return (b ^ (static_cast<size_t>(tag) * 0x9E3779B9u)) & mask_;
-  }
 
   void Clear(bool half_load, size_t expected);
   void EnsureCapacity(size_t total_entries);
   void Rebuild(size_t new_capacity);
   uint32_t NewEntry(uint64_t h, uint32_t value);
-  void PlaceCuckoo(uint32_t entry);
-  bool TryPlaceCuckoo(uint32_t entry, int max_kicks);
 
-  int RoundChained(Probe* p);
-  int RoundLinear(Probe* p);
-  int RoundCuckoo(Probe* p);
-  bool InsertMissChained(Probe* p, int lane, uint32_t value, uint32_t* cand);
-  bool InsertMissLinear(Probe* p, int lane, uint32_t value, uint32_t* cand);
-  bool InsertMissCuckoo(Probe* p, int lane, uint32_t value, uint32_t* cand);
-
-  HashImpl impl_;
-  std::vector<Slot> slots_;     // linear: capacity_ slots; cuckoo: 4/bucket
-  std::vector<uint32_t> heads_; // chained: bucket -> entry + 1
-  std::vector<uint32_t> next_;  // chained: per entry
+  std::vector<Slot> slots_;  // capacity_ slots
   std::vector<Entry> entries_;
   size_t entries_count_ = 0;
-  size_t capacity_ = 0;  // slots (linear/cuckoo) or buckets (chained)
-  size_t mask_ = 0;      // slot mask (linear) / bucket mask (chained, cuckoo)
+  size_t capacity_ = 0;
+  size_t mask_ = 0;  // capacity_ - 1
   bool half_load_ = false;  // ResetForBuild sizing instead of the ceiling
   HashTableStats stats_;
   HashTableStats published_;  // snapshot at last PublishStats

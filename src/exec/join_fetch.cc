@@ -1,4 +1,5 @@
 #include <cstring>
+#include <stdexcept>
 
 #include "exec/join.h"
 #include "exec/join_internal.h"
@@ -30,7 +31,17 @@ Fetch1JoinOp::Fetch1JoinOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       rowid_col_(std::move(rowid_col)),
       fetch_(std::move(fetch)) {
   schema_ = child_->schema();
+  // Plans come from user algebra text too: bad names throw, never abort.
+  int rowid = schema_.Find(rowid_col_);
+  if (rowid < 0 || schema_.field(rowid).type != TypeId::kI64) {
+    throw std::invalid_argument("Fetch1Join: no i64 rowid column '" +
+                                rowid_col_ + "' in " + schema_.ToString());
+  }
   for (const auto& [src, dst] : fetch_) {
+    if (target_.schema().Find(src) < 0) {
+      throw std::invalid_argument("Fetch1Join: no column '" + src +
+                                  "' in table '" + target_.name() + "'");
+    }
     const Column& col = target_.column(target_.ColumnIndex(src));
     Field f;
     f.name = dst;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/metrics.h"
+#include "exec/hash_table.h"
 #include "exec/join.h"
 #include "exec/join_internal.h"
 #include "exec/trace.h"
@@ -39,14 +40,11 @@ int64_t KeyAt(const char* col, size_t width, size_t r) {
 }  // namespace
 
 struct HashJoinOp::Impl {
-  explicit Impl(HashImpl hash_impl) : table(hash_impl) {}
-
   DrainedStore store;  // build keys first, then build outputs
   size_t num_keys = 0;
   // Shared vectorized table: distinct key -> head build row. Duplicate rows
   // chain through next_dup (head = latest row, so a chain walk visits rows
-  // in reverse insertion order — the same emission order the old push-front
-  // chained table produced, for any HashImpl).
+  // in reverse insertion order).
   HashTable table;
   HashTable::Probe probe;
   std::vector<uint32_t> next_dup;  // per build row; kNone ends the chain
@@ -245,7 +243,7 @@ HashJoinOp::~HashJoinOp() = default;
 void HashJoinOp::Open() {
   probe_->Open();
   build_->Open();
-  impl_ = std::make_unique<Impl>(ctx_->hash_impl);
+  impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
 
   // Refresh output fields (children resolve dictionary bases in Open).

@@ -3,6 +3,7 @@
 
 #include "common/hash.h"
 #include "common/metrics.h"
+#include "exec/hash_table.h"
 #include "exec/join.h"
 #include "exec/join_internal.h"
 
@@ -18,8 +19,6 @@ using join_internal::GatherByRow;
 // same principle X100 applies to vectors, applied to join state.
 
 struct RadixJoinOp::Impl {
-  explicit Impl(HashImpl hash_impl) : table(hash_impl) {}
-
   DrainedStore probe_store;  // keys first, then outputs
   DrainedStore build_store;
   size_t num_keys = 0;
@@ -142,7 +141,7 @@ RadixJoinOp::~RadixJoinOp() = default;
 void RadixJoinOp::Open() {
   probe_->Open();
   build_->Open();
-  impl_ = std::make_unique<Impl>(ctx_->hash_impl);
+  impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
   {
     int fi = 0;

@@ -4,7 +4,6 @@
 #include "common/cancel.h"
 #include "common/config.h"
 #include "common/profiling.h"
-#include "exec/hash_table.h"
 #include "vector/batch.h"
 
 namespace x100 {
@@ -54,11 +53,6 @@ struct ExecContext {
   /// in-flight appends/deletes/merges are invisible. Null (or a missing
   /// table entry) reads the live table directly, the single-writer default.
   const SnapshotSet* snapshots = nullptr;
-  /// Physical hash-table layout for hash join / radix join / hash
-  /// aggregation (exec/hash_table.h). Defaults to env X100_HASH_IMPL
-  /// (linear open addressing when unset); tests override it per query to
-  /// cross-check the implementations for bit-identity.
-  HashImpl hash_impl = EnvHashImpl();
 
   /// Per-vector cancellation poll: throws QueryCancelled when the token is
   /// tripped or its deadline passed. No-op without a token.

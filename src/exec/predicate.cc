@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "exec/bound_expr.h"
 
@@ -67,11 +69,17 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   ExecContext* ctx = program_.ctx();
   auto node = std::make_unique<PredNode>();
 
-  X100_CHECK(e.kind() == Expr::Kind::kCall);
+  // Predicates come from user algebra text too: malformed ones throw.
+  auto fail = [&](const std::string& why) {
+    throw std::invalid_argument(program_.label() + ": " + why);
+  };
+  if (e.kind() != Expr::Kind::kCall) {
+    fail("'" + e.Signature() + "' is not a predicate");
+  }
   const std::string& fn = e.name();
 
   if (fn == "not") {
-    X100_CHECK(e.args().size() == 1);
+    if (e.args().size() != 1) fail("predicate 'not' takes 1 argument");
     node->kind = PredNode::Kind::kNot;
     node->children.push_back(BindPred(input, *e.args()[0]));
     node->buf_a = std::make_unique<int[]>(ctx->vector_size);
@@ -94,7 +102,8 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
     return node;
   }
 
-  X100_CHECK(IsCmp(fn) && e.args().size() == 2);
+  if (!IsCmp(fn)) fail("unknown predicate '" + fn + "'");
+  if (e.args().size() != 2) fail("predicate '" + fn + "' takes 2 arguments");
   const Expr* le = e.args()[0].get();
   const Expr* re = e.args()[1].get();
   std::string op = fn;
@@ -164,7 +173,9 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   r = program_.Decode(r);
   TypeId t;
   if (l.type == TypeId::kStr || r.type == TypeId::kStr) {
-    X100_CHECK(l.type == TypeId::kStr && r.type == TypeId::kStr);
+    if (l.type != r.type) {
+      fail("predicate '" + fn + "' compares a string with a number");
+    }
     t = TypeId::kStr;
   } else if (l.type == r.type) {
     t = l.type;  // same-type compares exist for all widths
@@ -186,15 +197,14 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   };
   l = unify(l, le);
   r = unify(r, re);
-  X100_CHECK(l.ref.is_col);
+  if (!l.ref.is_col) fail("predicate '" + fn + "' needs a column argument");
 
   node->kind = PredNode::Kind::kCmp;
   std::string name = std::string("select_") + op + "_" + PrimTypeName(t) +
                      "_col_" + PrimTypeName(t) + (r.ref.is_col ? "_col" : "_val");
   node->prim = PrimitiveRegistry::Get().FindSelect(name);
   if (node->prim == nullptr) {
-    std::fprintf(stderr, "bind error: no select primitive '%s'\n", name.c_str());
-    X100_CHECK(false);
+    fail("predicate '" + fn + "' has no select primitive '" + name + "'");
   }
   node->args[0] = l.ref;
   node->args[1] = r.ref;

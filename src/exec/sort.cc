@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "exec/join_internal.h"
 #include "exec/row_util.h"
@@ -34,7 +35,10 @@ class ColumnarSort {
     store_.Init(child->schema(), cols);
     for (const OrdKey& k : keys) {
       int ci = child->schema().Find(k.name);
-      X100_CHECK(ci >= 0);
+      if (ci < 0) {
+        throw std::invalid_argument("no sort key column '" + k.name + "' in " +
+                                    child->schema().ToString());
+      }
       key_cols_.push_back(ci);
       desc_.push_back(k.desc);
     }

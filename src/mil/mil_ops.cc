@@ -129,7 +129,9 @@ Bat BatFromColumn(MilSession* s, const Table& table, const std::string& col,
   bool plain = !c.is_enum() && table.num_deleted() == 0 && table.delta_rows() == 0;
   if (plain) {
     out.ResizeUninitialized(c.size());
-    std::memcpy(out.mutable_raw(), c.raw(), c.bytes());
+    // An empty Bat's data is null, and memcpy to null is undefined even
+    // for zero bytes.
+    if (c.bytes() > 0) std::memcpy(out.mutable_raw(), c.raw(), c.bytes());
   } else {
     for (int64_t r = 0; r < table.total_rows(); r++) {
       if (table.IsDeleted(r)) continue;
@@ -767,7 +769,9 @@ Bat MilSortOids(MilSession* s, const std::vector<const Bat*>& keys,
   });
   Bat out(TypeId::kI64);
   out.ResizeUninitialized(n);
-  std::memcpy(out.mutable_raw(), idx.data(), static_cast<size_t>(n) * 8);
+  if (n > 0) {
+    std::memcpy(out.mutable_raw(), idx.data(), static_cast<size_t>(n) * 8);
+  }
   size_t in_bytes = 0;
   for (const Bat* k : keys) in_bytes += k->bytes();
   scope.Finish(in_bytes + out.bytes(), n);
@@ -779,7 +783,9 @@ Bat MilSlice(MilSession* s, const Bat& order, int64_t n, const char* label) {
   Bat out(TypeId::kI64);
   int64_t m = std::min(n, order.size());
   out.ResizeUninitialized(m);
-  std::memcpy(out.mutable_raw(), order.raw(), static_cast<size_t>(m) * 8);
+  if (m > 0) {
+    std::memcpy(out.mutable_raw(), order.raw(), static_cast<size_t>(m) * 8);
+  }
   scope.Finish(out.bytes(), m);
   return out;
 }

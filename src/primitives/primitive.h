@@ -98,7 +98,6 @@ void RegisterSelectBitmap(PrimitiveRegistry* r);
 void RegisterAggrPrimitives(PrimitiveRegistry* r);
 void RegisterFetchHash(PrimitiveRegistry* r);
 void RegisterStringPrimitives(PrimitiveRegistry* r);
-void RegisterCompoundPrimitives(PrimitiveRegistry* r);
 void RegisterFusedChainPrimitives(PrimitiveRegistry* r);
 
 }  // namespace x100

@@ -14,7 +14,6 @@ const PrimitiveRegistry& PrimitiveRegistry::Get() {
     RegisterAggrPrimitives(r);
     RegisterFetchHash(r);
     RegisterStringPrimitives(r);
-    RegisterCompoundPrimitives(r);
     RegisterFusedChainPrimitives(r);
     return r;
   }();

@@ -2,6 +2,9 @@
 // the paper's own plan texts must parse and produce the same results as the
 // equivalent hand-built plans.
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "exec/algebra_parser.h"
@@ -211,6 +214,65 @@ TEST_F(AlgebraParserTest, JoinKeyErrorsAreReported) {
             nullptr);
   EXPECT_NE(error.find("unknown build key 'o_nokey'"), std::string::npos)
       << error;
+}
+
+TEST_F(AlgebraParserTest, BadCallsAndNamesAreReportedNotFatal) {
+  // Operators bind their expressions and names when they are constructed. A
+  // function the binder does not know, a wrong arity, a predicate in value
+  // position or an unknown name is a parse error naming it, not an abort of
+  // the process (which, behind x100_server, took every session down).
+  ExecContext ctx;
+  AlgebraParser parser(&ctx, *db_);
+  const std::string kProject = "Project(Table(lineitem), [ d = ";
+  struct Case {
+    std::string text;
+    const char* want;
+  } cases[] = {
+      {kProject + "frobnicate(l_tax) ])", "unknown function 'frobnicate'"},
+      {kProject + "mahalanobis(l_tax, l_discount, l_quantity) ])",
+       "unknown function 'mahalanobis'"},
+      {kProject + "-(l_tax) ])", "function 'sub' takes 2 arguments, got 1"},
+      {kProject + "*(l_tax, -(l_discount)) ])",
+       "function 'sub' takes 2 arguments, got 1"},
+      {kProject + "sqrt(l_tax, l_discount) ])",
+       "function 'sqrt' takes 1 argument, got 2"},
+      {kProject + "<(l_tax, l_discount) ])",
+       "predicate 'lt' is not a value expression"},
+      {kProject + "+(l_comment, 1) ])", "no implicit conversion"},
+      {kProject + "sqrt(flt('4.0')) ])", "function 'sqrt' needs a column"},
+      {kProject + "l_nope ])", "no column 'l_nope'"},
+      {"Table(region, r_nope)", "no column 'r_nope' in table 'region'"},
+      {"Aggr(Table(region), [r_nope], [c = count()])",
+       "no group-by column 'r_nope'"},
+      {"Aggr(Table(region), [], [m = max(r_comment)])",
+       "no primitive 'aggr_max_str_col'"},
+      {"Fetch1Join(Table(nation, n_regionkey), region, n_regionkey, [r_name])",
+       "no i64 rowid column 'n_regionkey'"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_EQ(parser.Parse(c.text, &error), nullptr) << c.text;
+    EXPECT_NE(error.find(c.want), std::string::npos)
+        << c.text << ": " << error;
+  }
+  // The same parser still builds good plans afterwards.
+  std::string error;
+  EXPECT_NE(parser.Parse("Project(Table(region), [ d = *(r_regionkey, 2) ])",
+                         &error),
+            nullptr)
+      << error;
+
+  // Select binds its predicate and Order/TopN their keys when they open: a
+  // bad one throws from the run.
+  for (const char* text : {"Select(Table(region), frobnicate(r_regionkey))",
+                           "Select(Table(region), <(r_nope, 1))",
+                           "Order(Table(region), [r_nope])",
+                           "TopN(Table(region), [r_nope DESC], 2)"}) {
+    std::unique_ptr<Operator> op = parser.Parse(text, &error);
+    ASSERT_NE(op, nullptr) << text << ": " << error;
+    EXPECT_THROW(RunPlan(std::move(op), "bad"), std::invalid_argument)
+        << text;
+  }
 }
 
 }  // namespace

@@ -200,6 +200,26 @@ TEST(FusionBinderTest, NumericConstantsOfAnyTypeFuse) {
   EXPECT_TRUE(saw_fused);
 }
 
+TEST(FusionBinderTest, ConstantOnlyCallLeafStaysOutOfTheKernel) {
+  // dbl(2.0) is a call, but it binds to a constant, not a vector, so it
+  // cannot fill a column slot of a fused kernel. The fuser must leave it
+  // out (binding aborted here before) and match the unfused result.
+  std::unique_ptr<Table> t = MakeFusionData(512);
+  auto make = [&](ExecContext* ctx) {
+    OpPtr op = plan::Scan(ctx, *t, {"a"});
+    op = plan::Project(
+        ctx, std::move(op),
+        NE(As("v", Mul(Add(Col("a"), LitF64(1.0)),
+                       Call1("dbl", LitF64(2.0))))));
+    return RunPlan(std::move(op), "r");
+  };
+  ExecContext plain;
+  plain.fuse_compound_primitives = false;
+  ExecContext fused;
+  fused.fuse_compound_primitives = true;
+  ExpectBitIdentical(*make(&plain), *make(&fused));
+}
+
 // ---- Differential: fused and interpreted chains are bit-identical ----------
 
 /// A random linear map chain of `depth` nodes over the f64 or i64 columns.

@@ -1,10 +1,9 @@
-// Hash-table layer tests: the batch probe/insert protocol of every HashImpl
-// (chained / linear open-addressing / bucketized cuckoo) at the unit level,
-// operator-level edge cases (empty build side, all-miss probes, duplicate
-// keys across growth, extreme i64 keys, selection-vector probes), HashJoin's
-// dense-key filter checked differentially against the hash path, join key
-// checks at construction, and bit-identity of TPC-H results across all
-// implementations on both the RAM and disk backends.
+// Hash-table layer tests: the batch probe/insert protocol of the linear
+// probing table at the unit level, operator-level edge cases (empty build
+// side, all-miss probes, duplicate keys across growth, extreme i64 keys,
+// selection-vector probes), HashJoin's dense-key filter checked
+// differentially against the hash path, join key checks at construction, and
+// which TPC-H join nodes take the filter or the hash path.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,8 +19,6 @@
 #include "exec/hash_table.h"
 #include "exec/plan.h"
 #include "exec/trace.h"
-#include "storage/columnbm.h"
-#include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -29,21 +26,12 @@ namespace x100 {
 namespace {
 
 using plan::OpPtr;
-using testing::ExpectTablesEqual;
-using testing::ScopedTempDir;
 
 template <typename... Ts>
 std::vector<AggrSpec> AG(Ts&&... ts) {
   std::vector<AggrSpec> v;
   (v.push_back(std::move(ts)), ...);
   return v;
-}
-
-const HashImpl kAllImpls[] = {HashImpl::kChained, HashImpl::kLinear,
-                              HashImpl::kCuckoo};
-
-std::string ImplParamName(const ::testing::TestParamInfo<HashImpl>& info) {
-  return HashImplName(info.param);
 }
 
 // Drives the find-or-insert protocol for a batch of hashes against `t`,
@@ -74,10 +62,8 @@ std::vector<uint32_t> FindOrInsert(HashTable* t, HashTable::Probe* p,
   return out;
 }
 
-class HashTableImplTest : public ::testing::TestWithParam<HashImpl> {};
-
-TEST_P(HashTableImplTest, EmptyTableAllMiss) {
-  HashTable t(GetParam());
+TEST(HashTableTest, EmptyTableAllMiss) {
+  HashTable t;
   HashTable::Probe p;
   std::vector<uint64_t> hashes;
   for (int i = 0; i < 100; i++) hashes.push_back(HashU64(i * 977));
@@ -89,8 +75,8 @@ TEST_P(HashTableImplTest, EmptyTableAllMiss) {
   EXPECT_EQ(t.size(), 0u);
 }
 
-TEST_P(HashTableImplTest, InsertFindRoundTripAcrossGrowth) {
-  HashTable t(GetParam());
+TEST(HashTableTest, InsertFindRoundTripAcrossGrowth) {
+  HashTable t;
   HashTable::Probe p;
   t.Reset(0);  // start tiny so inserts force rebuilds
   const int kKeys = 20000;
@@ -130,8 +116,8 @@ TEST_P(HashTableImplTest, InsertFindRoundTripAcrossGrowth) {
   }
 }
 
-TEST_P(HashTableImplTest, SelectionVectorLanes) {
-  HashTable t(GetParam());
+TEST(HashTableTest, SelectionVectorLanes) {
+  HashTable t;
   HashTable::Probe p;
   std::vector<uint64_t> hashes(16, 0);
   // Only odd positions carry live hashes; the sel vector must be honored.
@@ -159,10 +145,10 @@ TEST_P(HashTableImplTest, SelectionVectorLanes) {
   }
 }
 
-TEST_P(HashTableImplTest, SameHashTwiceInOneBatchChainsViaInsertMiss) {
+TEST(HashTableTest, SameHashTwiceInOneBatchChainsViaInsertMiss) {
   // Two lanes with the same (previously unseen) hash both miss the vector
   // pass; the scalar pass must hand lane 2 the entry lane 1 just created.
-  HashTable t(GetParam());
+  HashTable t;
   HashTable::Probe p;
   uint64_t h = HashU64(42);
   std::vector<uint64_t> hashes = {h, h};
@@ -176,8 +162,8 @@ TEST_P(HashTableImplTest, SameHashTwiceInOneBatchChainsViaInsertMiss) {
   EXPECT_EQ(t.size(), 1u);
 }
 
-TEST_P(HashTableImplTest, ResetDropsEntriesKeepsStats) {
-  HashTable t(GetParam());
+TEST(HashTableTest, ResetDropsEntriesKeepsStats) {
+  HashTable t;
   HashTable::Probe p;
   std::vector<uint64_t> hashes;
   std::vector<uint32_t> values;
@@ -196,40 +182,11 @@ TEST_P(HashTableImplTest, ResetDropsEntriesKeepsStats) {
   EXPECT_EQ(p.result(0), HashTable::kNone);
 }
 
-INSTANTIATE_TEST_SUITE_P(Impls, HashTableImplTest,
-                         ::testing::ValuesIn(kAllImpls), ImplParamName);
+// ---- Operator-level edge cases ---------------------------------------------
 
-TEST(HashTableTest, CuckooDisplacesUnderLoad) {
-  HashTable t(HashImpl::kCuckoo);
-  HashTable::Probe p;
-  std::vector<uint64_t> hashes;
-  std::vector<uint32_t> values;
-  for (int i = 0; i < 50000; i++) {
-    hashes.push_back(HashU64(static_cast<uint64_t>(i)));
-    values.push_back(static_cast<uint32_t>(i));
-    if (hashes.size() == 1024 || i == 49999) {
-      FindOrInsert(&t, &p, hashes, values);
-      hashes.clear();
-      values.clear();
-    }
-  }
-  EXPECT_EQ(t.size(), 50000u);
-  EXPECT_GT(t.stats().displacements, 0u);
-}
-
-TEST(HashTableTest, EnvKnobDefaultsToLinear) {
-  // The session does not set X100_HASH_IMPL, so the engine default applies.
-  EXPECT_EQ(EnvHashImpl(), HashImpl::kLinear);
-  ExecContext ctx;
-  EXPECT_EQ(ctx.hash_impl, HashImpl::kLinear);
-}
-
-// ---- Operator-level edge cases, each under every implementation ------------
-
-class HashOpsTest : public ::testing::TestWithParam<HashImpl> {
+class HashOpsTest : public ::testing::Test {
  protected:
   ExecContext ctx_;
-  void SetUp() override { ctx_.hash_impl = GetParam(); }
 
   static std::unique_ptr<Table> MakeKv(const std::string& name,
                                        const std::vector<int64_t>& keys) {
@@ -243,7 +200,7 @@ class HashOpsTest : public ::testing::TestWithParam<HashImpl> {
   }
 };
 
-TEST_P(HashOpsTest, EmptyBuildSide) {
+TEST_F(HashOpsTest, EmptyBuildSide) {
   std::unique_ptr<Table> probe = MakeKv("p", {1, 2, 3, 4, 5});
   std::unique_ptr<Table> build = MakeKv("b", {});
   auto inner = plan::Join(&ctx_, plan::Scan(&ctx_, *probe, {"k", "v"}),
@@ -274,7 +231,7 @@ TEST_P(HashOpsTest, EmptyBuildSide) {
   }
 }
 
-TEST_P(HashOpsTest, AllProbeMissBatches) {
+TEST_F(HashOpsTest, AllProbeMissBatches) {
   std::vector<int64_t> pk, bk;
   for (int64_t i = 0; i < 3000; i++) pk.push_back(i);
   for (int64_t i = 0; i < 500; i++) bk.push_back(100000 + i);  // disjoint
@@ -289,7 +246,7 @@ TEST_P(HashOpsTest, AllProbeMissBatches) {
   EXPECT_EQ(RunPlan(std::move(j), "r")->num_rows(), 0);
 }
 
-TEST_P(HashOpsTest, HeavyDuplicateKeysAcrossResize) {
+TEST_F(HashOpsTest, HeavyDuplicateKeysAcrossResize) {
   // 20000 build rows over 1000 distinct keys: the table grows several times
   // while every key accumulates a 20-deep duplicate chain. Every probe of
   // key k must see all 20 rows.
@@ -320,7 +277,7 @@ TEST_P(HashOpsTest, HeavyDuplicateKeysAcrossResize) {
   }
 }
 
-TEST_P(HashOpsTest, ExtremeI64Keys) {
+TEST_F(HashOpsTest, ExtremeI64Keys) {
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   const int64_t kMax = std::numeric_limits<int64_t>::max();
   std::vector<int64_t> keys = {kMin, kMax, -1, 0, 1, kMin + 1, kMax - 1, -42};
@@ -339,7 +296,7 @@ TEST_P(HashOpsTest, ExtremeI64Keys) {
   }
 }
 
-TEST_P(HashOpsTest, SelectionVectorProbesAcrossVectorBoundaries) {
+TEST_F(HashOpsTest, SelectionVectorProbesAcrossVectorBoundaries) {
   // A selective filter upstream of the join hands the probe sel vectors;
   // a tiny vector size makes chains of them straddle many batches.
   ctx_.vector_size = 16;
@@ -453,7 +410,7 @@ void ExpectSameRowsScaled(const Table& want, const Table& got, int64_t scale,
   }
 }
 
-TEST_P(HashOpsTest, DenseKeyFilterMatchesHashPath) {
+TEST_F(HashOpsTest, DenseKeyFilterMatchesHashPath) {
   // Each join runs on keys k (dense: the filter engages) and on keys
   // k * 1,000,003 (span far beyond 64 bits per build row: the hash path),
   // and must give the same rows in the same order. Empty and one-row builds
@@ -534,7 +491,7 @@ TEST_P(HashOpsTest, DenseKeyFilterMatchesHashPath) {
   }
 }
 
-TEST_P(HashOpsTest, NegativeNarrowKeysMatchOnTheHashPath) {
+TEST_F(HashOpsTest, NegativeNarrowKeysMatchOnTheHashPath) {
   // Build and probe keys must hash alike: a build side that zero-extended
   // i32 keys while map_hash_i32_col sign-extends them lost every negative
   // match. The two-column key keeps the join on the hash path.
@@ -551,7 +508,7 @@ TEST_P(HashOpsTest, NegativeNarrowKeysMatchOnTheHashPath) {
   }
 }
 
-TEST_P(HashOpsTest, DenseKeyFilterSkipsFloatKeys) {
+TEST_F(HashOpsTest, DenseKeyFilterSkipsFloatKeys) {
   auto t = std::make_unique<Table>(
       "f", std::vector<Table::ColumnSpec>{{"x", TypeId::kF64, false}});
   for (int i = 0; i < 100; i++) t->AppendRow({Value::F64(i)});
@@ -574,7 +531,7 @@ TEST_P(HashOpsTest, DenseKeyFilterSkipsFloatKeys) {
   EXPECT_GT(ht_probes, 0u);
 }
 
-TEST_P(HashOpsTest, DenseKeyFilterSkipsFullI64Span) {
+TEST_F(HashOpsTest, DenseKeyFilterSkipsFullI64Span) {
   // max - min + 1 overflows u64 here; the join must take the hash path.
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   const int64_t kMax = std::numeric_limits<int64_t>::max();
@@ -590,9 +547,6 @@ TEST_P(HashOpsTest, DenseKeyFilterSkipsFullI64Span) {
     EXPECT_EQ(r.rows->GetValue(1, 0).AsI64(), anti ? 7 : kMax);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Impls, HashOpsTest, ::testing::ValuesIn(kAllImpls),
-                         ImplParamName);
 
 // ---- Join key checks at construction ---------------------------------------
 
@@ -620,9 +574,9 @@ TEST(HashJoinKeyCheckTest, RejectsMismatchedAndUnknownKeys) {
                std::invalid_argument);
 }
 
-// ---- Bit-identity of TPC-H results across implementations ------------------
+// ---- Which TPC-H join nodes take the filter or the hash path ---------------
 
-class HashImplQueryTest : public ::testing::Test {
+class HashQueryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     DbgenOptions opts;
@@ -632,23 +586,7 @@ class HashImplQueryTest : public ::testing::Test {
   static Catalog* db_;
 };
 
-Catalog* HashImplQueryTest::db_ = nullptr;
-
-TEST_F(HashImplQueryTest, QueriesBitIdenticalAcrossImplsRam) {
-  // Q1/Q3/Q14 cover aggregation; the rest run HashJoin on the dense-key
-  // filter (semi/anti/inner/left-outer) and on the hash path (Q2, Q18).
-  for (int q : {1, 3, 14, 2, 4, 8, 9, 13, 15, 16, 17, 18, 20, 21, 22}) {
-    ExecContext base;
-    base.hash_impl = HashImpl::kChained;
-    std::unique_ptr<Table> chained = RunX100Query(q, &base, *db_);
-    for (HashImpl impl : {HashImpl::kLinear, HashImpl::kCuckoo}) {
-      ExecContext ctx;
-      ctx.hash_impl = impl;
-      std::unique_ptr<Table> got = RunX100Query(q, &ctx, *db_);
-      ExpectTablesEqual(*chained, *got, 0.0);  // bit-identical, eps 0
-    }
-  }
-}
+Catalog* HashQueryTest::db_ = nullptr;
 
 // Appends every node labelled `label` under `n` (n included), depth-first.
 void CollectLabeled(const TraceNode& n, const std::string& label,
@@ -671,7 +609,7 @@ bool HasCounter(const TraceNode& n, const std::string& name) {
   return false;
 }
 
-TEST_F(HashImplQueryTest, Q9SemiJoinRunsOnTheDenseKeyFilter) {
+TEST_F(HashQueryTest, Q9SemiJoinRunsOnTheDenseKeyFilter) {
   ExecContext ctx;
   QueryTrace trace;
   ctx.trace = &trace;
@@ -687,7 +625,7 @@ TEST_F(HashImplQueryTest, Q9SemiJoinRunsOnTheDenseKeyFilter) {
   }
 }
 
-TEST_F(HashImplQueryTest, Q2TwoColumnJoinStaysOnTheHashPath) {
+TEST_F(HashQueryTest, Q2TwoColumnJoinStaysOnTheHashPath) {
   ExecContext ctx;
   QueryTrace trace;
   ctx.trace = &trace;
@@ -702,22 +640,6 @@ TEST_F(HashImplQueryTest, Q2TwoColumnJoinStaysOnTheHashPath) {
   }
   EXPECT_GT(filtered, 0);  // the single-key joins
   EXPECT_GT(hashed, 0);    // (ps_partkey, ps_supplycost)
-}
-
-TEST_F(HashImplQueryTest, QueriesBitIdenticalAcrossImplsDisk) {
-  for (int q : {3, 14}) {
-    ScopedTempDir dir("x100_ht_disk");
-    ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-    ExecContext base;
-    base.hash_impl = HashImpl::kChained;
-    std::unique_ptr<Table> chained = RunX100QueryDisk(q, &base, *db_, &bm);
-    for (HashImpl impl : {HashImpl::kLinear, HashImpl::kCuckoo}) {
-      ExecContext ctx;
-      ctx.hash_impl = impl;
-      std::unique_ptr<Table> got = RunX100QueryDisk(q, &ctx, *db_, &bm);
-      ExpectTablesEqual(*chained, *got, 0.0);
-    }
-  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "mil/mil_db.h"
 #include "mil/mil_ops.h"
+#include "storage/table.h"
 
 namespace x100 {
 namespace {
@@ -112,6 +113,25 @@ TEST(MilTest, GroupedAggregatesOfEmptySelection) {
     EXPECT_EQ(MilSumGrouped(nullptr, vals, g, ng).size(), 0);
   }
   EXPECT_EQ(MilCountGrouped(nullptr, g, ng).size(), 0);
+}
+
+TEST(MilTest, EmptyInputsSortSliceAndConvert) {
+  // An empty Bat's data pointer is null, and memcpy to null is undefined even
+  // for zero bytes: each op must skip its copy at zero length (the sanitizer
+  // build aborts on it otherwise).
+  Bat empty = MakeI32({});
+  Bat order = MilSortOids(nullptr, {&empty}, {false});
+  EXPECT_EQ(order.size(), 0);
+  EXPECT_EQ(MilSlice(nullptr, order, 10).size(), 0);
+
+  Bat keys = MakeI32({3, 1, 2});
+  Bat sorted = MilSortOids(nullptr, {&keys}, {false});
+  ASSERT_EQ(sorted.size(), 3);
+  EXPECT_EQ(MilSlice(nullptr, sorted, 0).size(), 0);
+
+  Table t("t", {{"x", TypeId::kI32, false}});
+  t.Freeze();
+  EXPECT_EQ(BatFromColumn(nullptr, t, "x").size(), 0);
 }
 
 TEST(MilTest, MinMaxGrouped) {

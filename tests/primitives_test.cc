@@ -350,9 +350,9 @@ TEST(CompoundTest, FusedMatchesChain) {
   r.FindMap("map_sub_f64_val_f64_col")->fn(kN, tmp.data(), a1, nullptr);
   const void* a2[2] = {tmp.data(), price.data()};
   r.FindMap("map_mul_f64_col_f64_col")->fn(kN, chained.data(), a2, nullptr);
-  // Fused.
-  const void* a3[3] = {disc.data(), price.data(), &one};
-  r.FindMap("map_fused_submul_f64")->fn(kN, fused.data(), a3, nullptr);
+  // Fused: the generated kernel the binder binds for (1 - disc) * price.
+  const void* a3[3] = {&one, disc.data(), price.data()};
+  r.FindMap("map_fused_sub_vc_mul_pc_f64")->fn(kN, fused.data(), a3, nullptr);
   for (int i = 0; i < kN; i++) EXPECT_DOUBLE_EQ(fused[i], chained[i]);
 }
 
@@ -360,7 +360,8 @@ TEST(CompoundTest, MahalanobisMatchesExpressionChain) {
   const PrimitiveRegistry& r = PrimitiveRegistry::Get();
   std::vector<double> x{1, 2, 3}, mu{0.5, 0.5, 0.5}, sig{2, 4, 8}, out(3);
   const void* args[3] = {x.data(), mu.data(), sig.data()};
-  r.FindMap("map_mahalanobis_f64")->fn(3, out.data(), args, nullptr);
+  r.FindMap("map_fused_sub_cc_square_p_div_pc_f64")->fn(3, out.data(), args,
+                                                        nullptr);
   for (int i = 0; i < 3; i++) {
     double d = x[i] - mu[i];
     EXPECT_DOUBLE_EQ(out[i], d * d / sig[i]);

@@ -400,6 +400,31 @@ TEST_F(ServerTest, InvalidRequestsFailTheSessionNotTheService) {
   EXPECT_EQ(ok->Wait(), QuerySession::State::kDone) << ok->error();
 }
 
+TEST_F(ServerTest, BadAlgebraCallGetsAnErrorDoneAndTheServiceServesOn) {
+  // A call the binder rejects used to abort the whole server process.
+  QueryService svc;
+  svc.engines()->Seed(kSf, db_);
+  QueryRequest bad;
+  bad.query = "Project(Table(lineitem), [ d = frobnicate(l_tax) ])";
+  bad.scale_factor = kSf;
+  auto sink = std::make_shared<CollectingSink>();
+  auto s = svc.Submit(bad, sink);
+  EXPECT_EQ(s->Wait(), QuerySession::State::kFailed);
+  svc.Drain();
+  EXPECT_EQ(sink->done_calls, 1);
+  EXPECT_EQ(sink->outcome.status, QueryStatus::kFailed);
+  EXPECT_NE(sink->outcome.error.find("frobnicate"), std::string::npos)
+      << sink->outcome.error;
+  EXPECT_EQ(sink->rows, 0);
+
+  auto ok_sink = std::make_shared<CollectingSink>();
+  auto ok = svc.Submit(Req(6), ok_sink);
+  EXPECT_EQ(ok->Wait(), QuerySession::State::kDone) << ok->error();
+  svc.Drain();
+  EXPECT_EQ(ok_sink->outcome.status, QueryStatus::kDone);
+  EXPECT_EQ(ok_sink->rows, Serial(6).num_rows());
+}
+
 TEST_F(ServerTest, AlgebraTextRequestExecutes) {
   QueryService svc;
   svc.engines()->Seed(kSf, db_);

@@ -232,6 +232,43 @@ TEST_F(TcpServerTest, InvalidRequestSurfacesAsFailedDone) {
   svc.Drain();
 }
 
+TEST_F(TcpServerTest, BadAlgebraCallFailsAndTheConnectionServesOn) {
+  QueryService svc;
+  svc.engines()->Seed(kSf, db_);
+  TcpServer server(&svc, {0, 8, 1 << 20});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = Client::Connect("127.0.0.1", server.port(), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  QueryRequest bad;
+  bad.query = "Project(Table(lineitem), [ d = frobnicate(l_tax) ])";
+  bad.scale_factor = kSf;
+  ASSERT_TRUE(client->Submit(4, bad, &error)) << error;
+  Client::Event ev;
+  ASSERT_TRUE(client->Next(&ev, &error)) << error;
+  ASSERT_EQ(ev.kind, Client::Event::Kind::kDone);
+  EXPECT_EQ(ev.done.id, 4u);
+  EXPECT_EQ(ev.done.outcome.status, QueryStatus::kFailed);
+  EXPECT_NE(ev.done.outcome.error.find("unknown function 'frobnicate'"),
+            std::string::npos)
+      << ev.done.outcome.error;
+
+  // The next query on the same connection runs to a DONE.
+  QueryRequest good;
+  good.query = "q6";
+  good.scale_factor = kSf;
+  ASSERT_TRUE(client->Submit(5, good, &error)) << error;
+  do {
+    ASSERT_TRUE(client->Next(&ev, &error)) << error;
+  } while (ev.kind != Client::Event::Kind::kDone);
+  EXPECT_EQ(ev.done.id, 5u);
+  EXPECT_EQ(ev.done.outcome.status, QueryStatus::kDone);
+  EXPECT_EQ(ev.done.outcome.rows, serial_q6_->num_rows());
+  server.Stop();
+  svc.Drain();
+}
+
 TEST_F(TcpServerTest, MetricsFrameReturnsRegistrySnapshot) {
   QueryService svc;
   TcpServer server(&svc, {0, 8, 1 << 20});
