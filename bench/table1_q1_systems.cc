@@ -34,6 +34,7 @@ int main() {
     if (base == 0) base = r.Best();
     std::printf("%-28s %12.4f %16.2f\n", name, r.Best(), r.Best() / base);
     ex.AddReps(key, r);
+    return r.Best();
   };
 
   // Tuple-at-a-time (NSM records, Item interpreter).
@@ -50,14 +51,19 @@ int main() {
            MeasureReps(reps, [&] { RunMilQuery(1, &s, &mil); }));
   }
   // MonetDB/X100.
+  double x100 = 0;
   {
     ExecContext ctx;
-    report("MonetDB/X100", "x100",
-           MeasureReps(reps, [&] { RunX100Query(1, &ctx, *db); }));
+    x100 = report("MonetDB/X100", "x100",
+                  MeasureReps(reps, [&] { RunX100Query(1, &ctx, *db); }));
   }
   // Hard-coded UDF (Figure 4).
-  report("hard-coded", "hardcoded",
-         MeasureReps(reps, [&] { RunHardcodedQ1(&mil); }));
+  double hardcoded = report("hard-coded", "hardcoded",
+                            MeasureReps(reps, [&] { RunHardcodedQ1(&mil); }));
+  // The paper's gap (0.50 s / 0.22 s = 2.3x at SF=1): both bests come from
+  // this one process, so the ratio does not depend on the host's speed.
+  ex.AddScalar("x100_over_hardcoded", x100 / hardcoded);
+  std::printf("\nX100 / hard-coded: %.2fx\n", x100 / hardcoded);
 
   std::printf("\n(normalized column: 1.00 = tuple-at-a-time; the paper reports"
               "\n ~26s MySQL vs 3.7s MIL vs 0.50s X100 vs 0.22s hard-coded at SF=1)\n");

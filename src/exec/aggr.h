@@ -7,7 +7,6 @@
 
 #include "exec/bound_expr.h"
 #include "exec/operator.h"
-#include "storage/buffer.h"
 
 namespace x100 {
 
@@ -45,32 +44,12 @@ std::vector<AggrSpec> CloneAggrSpecs(const std::vector<AggrSpec>& specs);
 /// keep their op. Every merge input is the partial's output column.
 std::vector<AggrSpec> MergeAggrSpecs(const std::vector<AggrSpec>& specs);
 
-namespace aggr_internal {
-
-/// Bound aggregate machinery shared by the three physical operators
-/// (§4.1.2: direct, hash and ordered aggregation).
-struct BoundAggr {
-  AggrOp op;
-  std::string output;
-  int input_idx = -1;          // index into the input MultiExprEvaluator
-  TypeId input_type = TypeId::kI64;
-  TypeId state_type = TypeId::kI64;
-  const AggrPrimitive* prim = nullptr;
-  PrimitiveStats* stats = nullptr;
-  Buffer state;                // one slot per group
-  size_t slots = 0;            // current number of initialized slots
-
-  void EnsureSlots(size_t n);  // appends init values up to n slots
-  Value Result(size_t slot) const;
-};
-
-}  // namespace aggr_internal
-
 /// HashAggr: general grouped aggregation. Group keys are input columns
 /// (possibly undecoded enum codes — grouping on codes is both correct and
 /// cache-friendly; the dictionary travels on the output schema). Hashes are
 /// computed with the map_hash / map_rehash primitives; probe/insert is the
-/// operator loop.
+/// operator loop. All three grouped operators update their aggregates through
+/// one shared step (aggr_internal::AggrState, DESIGN.md "Aggregation").
 class HashAggrOp : public Operator {
  public:
   HashAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
@@ -99,10 +78,11 @@ class HashAggrOp : public Operator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// DirectAggr: aggregation into a direct-mapped array when the combined
-/// bit-representation of the (at most two single-byte / one two-byte) group
-/// columns is a small domain — the hard-coded Q1 trick of §3.3 made a
-/// physical operator. Group ids come from the map_directgrp primitives.
+/// DirectAggr: aggregation into a direct-mapped array when the (at most two
+/// single-byte / one two-byte) group columns span a small domain — the
+/// hard-coded Q1 trick of §3.3 made a physical operator. A key's domain is
+/// its dictionary when it carries enum codes, else its bit width. Group ids
+/// come from the map_directgrp primitives, and id order is key order.
 class DirectAggrOp : public Operator {
  public:
   DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <stdexcept>
 
 #include "exec/aggr_internal.h"
@@ -20,83 +22,310 @@ const char* OpName(AggrOp op) {
   return "?";
 }
 
-// Appends slots [from, n) holding `init` to `state`, in one resize.
-template <typename T>
-void FillSlots(Buffer* state, size_t from, size_t n, T init) {
-  state->Resize(n * sizeof(T));
-  T* s = static_cast<T*>(state->data());
-  for (size_t i = from; i < n; i++) s[i] = init;
+size_t AlignUp(size_t v, size_t a) { return (v + a - 1) / a * a; }
+
+AggrSlotKind SlotKind(AggrOp op, TypeId input) {
+  using K = AggrSlotKind;
+  static constexpr K kKinds[3][3] = {{K::kSumI32, K::kSumI64, K::kSumF64},
+                                     {K::kMinI32, K::kMinI64, K::kMinF64},
+                                     {K::kMaxI32, K::kMaxI64, K::kMaxF64}};
+  if (op == AggrOp::kCount) return K::kCount;
+  int o = op == AggrOp::kSum ? 0 : op == AggrOp::kMin ? 1 : 2;
+  int t = input == TypeId::kI32 ? 0 : input == TypeId::kI64 ? 1 : 2;
+  X100_CHECK(t < 2 || input == TypeId::kF64);
+  return kKinds[o][t];
 }
 
-template <typename T>
-T InitValue(AggrOp op, T min_identity, T max_identity) {
-  return op == AggrOp::kMin ? min_identity
-         : op == AggrOp::kMax ? max_identity
-                              : T{0};
+// Writes op's initial accumulator value (sum/count 0, min +max, max -max)
+// of the given state type at `dst`.
+void WriteInit(AggrOp op, TypeId state, void* dst) {
+  switch (state) {
+    case TypeId::kF64: {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      double v = op == AggrOp::kMin ? kInf : op == AggrOp::kMax ? -kInf : 0.0;
+      std::memcpy(dst, &v, sizeof(v));
+      break;
+    }
+    case TypeId::kI64: {
+      using L = std::numeric_limits<int64_t>;
+      int64_t v = op == AggrOp::kMin ? L::max() : op == AggrOp::kMax ? L::min() : 0;
+      std::memcpy(dst, &v, sizeof(v));
+      break;
+    }
+    case TypeId::kI32: {
+      using L = std::numeric_limits<int32_t>;
+      int32_t v = op == AggrOp::kMin ? L::max() : op == AggrOp::kMax ? L::min() : 0;
+      std::memcpy(dst, &v, sizeof(v));
+      break;
+    }
+    default:
+      X100_CHECK(false);
+  }
+}
+
+// Copies slot values of width sizeof(T) from rows `row(r)` of `base` into
+// the dense column `dst`.
+template <typename T, typename RowFn>
+void GatherSlot(char* dst, const char* base, size_t stride, size_t offset,
+                int n, RowFn row) {
+  T* __restrict__ out = reinterpret_cast<T*>(dst);
+  for (int r = 0; r < n; r++) {
+    std::memcpy(&out[r], base + row(r) * stride + offset, sizeof(T));
+  }
 }
 
 }  // namespace
 
-void BoundAggr::EnsureSlots(size_t n) {
-  if (slots >= n) return;
-  switch (state_type) {
-    case TypeId::kF64:
-      FillSlots(&state, slots, n,
-                InitValue(op, std::numeric_limits<double>::infinity(),
-                          -std::numeric_limits<double>::infinity()));
-      break;
-    case TypeId::kI64:
-      FillSlots(&state, slots, n,
-                InitValue(op, std::numeric_limits<int64_t>::max(),
-                          std::numeric_limits<int64_t>::min()));
-      break;
-    case TypeId::kI32:
-      FillSlots(&state, slots, n,
-                InitValue(op, std::numeric_limits<int32_t>::max(),
-                          std::numeric_limits<int32_t>::min()));
-      break;
-    default:
-      X100_CHECK(false);
+struct AggrState::Aggr {
+  AggrOp op;
+  std::string output;
+  int input_idx = -1;  // index into inputs_, -1 for count
+  TypeId state_type = TypeId::kI64;
+  size_t in_width = 0;
+  size_t block = 0;
+  size_t offset = 0;  // byte offset of the slot in its block's rows
+};
+
+struct AggrState::Block {
+  std::vector<size_t> members;  // aggregate indices, in slot order
+  size_t stride = 0;            // bytes per group row
+  Buffer state;                 // rows_ rows
+  Buffer init;                  // one initialized row
+  const AggrPrimitive* prim = nullptr;
+  PrimitiveStats* stats = nullptr;
+  size_t bytes_per_tuple = 0;      // input widths plus the group id
+  std::vector<AggrRowSlot> slots;  // row pass only (more than one member)
+  AggrRowLayout layout;
+};
+
+AggrState::AggrState(ExecContext* ctx, const Schema& child,
+                     const std::vector<AggrSpec>& specs, bool grouped,
+                     const std::string& label, TraceNode* trace_parent) {
+  // Binding copies everything it needs (constants, arg refs); the widened
+  // expression trees can be dropped once the evaluator is constructed.
+  std::vector<ExprPtr> widened;
+  std::vector<const Expr*> ptrs;
+  for (const AggrSpec& s : specs) {
+    Aggr a;
+    a.op = s.op;
+    a.output = s.output;
+    if (s.input != nullptr) {
+      widened.push_back(exprs::Call1("widen", s.input->Clone()));
+      a.input_idx = static_cast<int>(ptrs.size());
+      ptrs.push_back(widened.back().get());
+    }
+    aggrs_.push_back(std::move(a));
   }
-  slots = n;
+  if (!ptrs.empty()) {
+    inputs_ = std::make_unique<MultiExprEvaluator>(ctx, child, ptrs, label,
+                                                   trace_parent);
+  }
+
+  // Typed primitives: they validate every (op, input type) and give the
+  // accumulator types, also for aggregates that end up in a row block.
+  std::vector<const AggrPrimitive*> prims;
+  std::vector<std::string> names;
+  std::vector<AggrSlotKind> kinds;
+  for (Aggr& a : aggrs_) {
+    TypeId in = TypeId::kI64;
+    std::string name = "aggr_count";
+    if (a.input_idx >= 0) {
+      in = inputs_->type(a.input_idx);
+      a.in_width = TypeWidth(in);
+      name = std::string("aggr_") + OpName(a.op) + "_" + TypeName(in) + "_col";
+    }
+    const AggrPrimitive* prim = PrimitiveRegistry::Get().FindAggr(name);
+    if (prim == nullptr) {
+      throw std::invalid_argument("aggregate '" + a.output +
+                                  "': no primitive '" + name + "'");
+    }
+    a.state_type = prim->state_type;
+    kinds.push_back(SlotKind(a.op, in));
+    prims.push_back(prim);
+    names.push_back(name);
+  }
+
+  // The row pass pays when one of its passes updates several slots of a
+  // tuple: two aggregates of one kind, or a count riding along with another
+  // aggregate. Aggregates of k distinct kinds without a count (Q21's min and
+  // max) would take k single-slot passes, each slower than the typed column
+  // loop, so they keep a column each.
+  std::vector<int> per_kind(static_cast<int>(AggrSlotKind::kMaxF64) + 1, 0);
+  for (AggrSlotKind k : kinds) per_kind[static_cast<int>(k)]++;
+  bool overlaps = per_kind[static_cast<int>(AggrSlotKind::kCount)] > 0 &&
+                  aggrs_.size() > 1;
+  for (int n : per_kind) overlaps |= n > 1;
+  bool rows = grouped && ctx->fuse_compound_primitives && overlaps;
+  for (size_t i = 0; i < aggrs_.size(); i++) {
+    if (i == 0 || !rows) blocks_.emplace_back();
+    blocks_.back().members.push_back(i);
+  }
+  if (rows) {
+    // Slots of one kind side by side (8-byte slots first, so none needs
+    // padding): aggr_rows updates each such run in one unrolled pass.
+    auto key = [&](size_t m) {
+      return std::make_pair(-static_cast<int>(TypeWidth(aggrs_[m].state_type)),
+                            static_cast<int>(kinds[m]));
+    };
+    std::stable_sort(blocks_[0].members.begin(), blocks_[0].members.end(),
+                     [&](size_t x, size_t y) { return key(x) < key(y); });
+  }
+  for (size_t bi = 0; bi < blocks_.size(); bi++) {
+    Block& b = blocks_[bi];
+    for (size_t m : b.members) {
+      Aggr& a = aggrs_[m];
+      size_t w = TypeWidth(a.state_type);
+      a.block = bi;
+      a.offset = AlignUp(b.stride, w);
+      b.stride = a.offset + w;
+      b.bytes_per_tuple += a.in_width;
+    }
+    // A lone slot is a dense column; rows of several keep 8-byte alignment.
+    if (b.members.size() > 1) b.stride = AlignUp(b.stride, 8);
+    b.init.Resize(b.stride);
+    std::memset(b.init.data(), 0, b.stride);
+    for (size_t m : b.members) {
+      const Aggr& a = aggrs_[m];
+      WriteInit(a.op, a.state_type, static_cast<char*>(b.init.data()) + a.offset);
+    }
+    std::string name = "aggr_rows";
+    if (b.members.size() == 1) {
+      b.prim = prims[b.members[0]];
+      name = names[b.members[0]];
+    } else {
+      b.prim = PrimitiveRegistry::Get().FindAggr(name);
+      for (size_t m : b.members) {
+        b.slots.push_back(
+            {kinds[m], static_cast<uint32_t>(aggrs_[m].offset), nullptr});
+      }
+      b.layout.slots = b.slots.data();
+      b.layout.k = static_cast<int>(b.slots.size());
+      b.layout.stride = b.stride;
+    }
+    b.bytes_per_tuple += grouped ? sizeof(uint32_t) : 0;
+    b.stats = ctx->profiler ? ctx->profiler->GetStats(name) : nullptr;
+  }
 }
 
-Value BoundAggr::Result(size_t slot) const {
-  switch (state_type) {
-    case TypeId::kF64: return Value::F64(state.At<double>(slot));
-    case TypeId::kI64: return Value::I64(state.At<int64_t>(slot));
-    case TypeId::kI32: return Value::I32(state.At<int32_t>(slot));
-    default:
-      X100_CHECK(false);
-  }
-  return Value();
+AggrState::~AggrState() = default;
+
+void AggrState::AddFields(Schema* schema) const {
+  for (const Aggr& a : aggrs_) schema->Add(a.output, a.state_type);
 }
 
-void BindAggr(ExecContext* ctx, const AggrSpec& spec, TypeId input_type,
-              BoundAggr* out) {
-  out->op = spec.op;
-  out->output = spec.output;
-  out->input_type = input_type;
-  std::string name;
-  if (spec.op == AggrOp::kCount) {
-    name = "aggr_count";
-  } else {
-    name = std::string("aggr_") + OpName(spec.op) + "_" + TypeName(input_type) +
-           "_col";
+void AggrState::Grow(size_t n) {
+  if (n <= rows_) return;
+  for (Block& b : blocks_) {
+    b.state.Resize(n * b.stride);
+    char* s = static_cast<char*>(b.state.data());
+    for (size_t r = rows_; r < n; r++) {
+      std::memcpy(s + r * b.stride, b.init.data(), b.stride);
+    }
   }
-  out->prim = PrimitiveRegistry::Get().FindAggr(name);
-  if (out->prim == nullptr) {
-    throw std::invalid_argument("aggregate '" + spec.output +
-                                "': no primitive '" + name + "'");
+  rows_ = n;
+}
+
+void AggrState::AllocateDomain(size_t n) {
+  for (Block& b : blocks_) b.state.Resize(n * b.stride);
+  rows_ = n;
+}
+
+void AggrState::InitRow(uint32_t group) {
+  for (Block& b : blocks_) {
+    std::memcpy(static_cast<char*>(b.state.data()) + group * b.stride,
+                b.init.data(), b.stride);
   }
-  out->state_type = out->prim->state_type;
-  out->stats = ctx->profiler ? ctx->profiler->GetStats(name) : nullptr;
+}
+
+bool AggrState::FoldSeen(uint8_t* seen) {
+  if (blocks_.size() != 1 || blocks_[0].slots.empty()) return false;
+  blocks_[0].layout.seen = seen;
+  blocks_[0].layout.init = blocks_[0].init.data();
+  return true;
+}
+
+void AggrState::Update(VectorBatch* batch, const uint32_t* groups) {
+  if (inputs_) inputs_->Eval(batch);
+  auto input = [&](const Aggr& a) -> const void* {
+    if (a.input_idx < 0) return nullptr;
+    MultiExprEvaluator::Out r = inputs_->Result(a.input_idx, batch);
+    X100_CHECK(r.is_col);
+    return r.data;
+  };
+  int n = batch->sel_count();
+  const int* sel = batch->sel();
+  for (Block& b : blocks_) {
+    const void* col;
+    if (b.slots.empty()) {
+      col = input(aggrs_[b.members[0]]);
+    } else {
+      for (size_t s = 0; s < b.slots.size(); s++) {
+        b.slots[s].col = input(aggrs_[b.members[s]]);
+      }
+      col = &b.layout;
+    }
+    if (b.stats) {
+      ScopedCycles cycles(b.stats);
+      b.prim->fn(n, b.state.data(), groups, col, sel);
+      b.stats->calls++;
+      b.stats->tuples += static_cast<uint64_t>(n);
+      b.stats->bytes += static_cast<uint64_t>(n) * b.bytes_per_tuple;
+    } else {
+      b.prim->fn(n, b.state.data(), groups, col, sel);
+    }
+  }
+}
+
+void AggrState::EmitRange(size_t first, int n, VectorBatch* out,
+                          int first_col) const {
+  for (size_t i = 0; i < aggrs_.size(); i++) {
+    const Aggr& a = aggrs_[i];
+    const Block& b = blocks_[a.block];
+    size_t w = TypeWidth(a.state_type);
+    char* dst = static_cast<char*>(
+        out->column(first_col + static_cast<int>(i)).data());
+    const char* src = static_cast<const char*>(b.state.data()) + first * b.stride;
+    auto row = [](int r) { return static_cast<size_t>(r); };
+    if (b.stride == w) {
+      std::memcpy(dst, src, static_cast<size_t>(n) * w);
+    } else if (w == 8) {
+      GatherSlot<uint64_t>(dst, src, b.stride, a.offset, n, row);
+    } else {
+      GatherSlot<uint32_t>(dst, src, b.stride, a.offset, n, row);
+    }
+  }
+}
+
+void AggrState::EmitIds(const uint32_t* ids, int n, VectorBatch* out,
+                        int first_col) const {
+  for (size_t i = 0; i < aggrs_.size(); i++) {
+    const Aggr& a = aggrs_[i];
+    const Block& b = blocks_[a.block];
+    char* dst = static_cast<char*>(
+        out->column(first_col + static_cast<int>(i)).data());
+    const char* src = static_cast<const char*>(b.state.data());
+    auto row = [ids](int r) { return static_cast<size_t>(ids[r]); };
+    if (TypeWidth(a.state_type) == 8) {
+      GatherSlot<uint64_t>(dst, src, b.stride, a.offset, n, row);
+    } else {
+      GatherSlot<uint32_t>(dst, src, b.stride, a.offset, n, row);
+    }
+  }
+}
+
+void AggrState::DropFront(size_t n) {
+  size_t rem = rows_ - n;
+  for (Block& b : blocks_) {
+    char* s = static_cast<char*>(b.state.data());
+    std::memmove(s, s + n * b.stride, rem * b.stride);
+    b.state.Resize(rem * b.stride);
+  }
+  rows_ = rem;
 }
 
 std::vector<int> BuildAggrSchema(const Schema& child,
                                  const std::vector<std::string>& group_by,
-                                 const std::vector<BoundAggr>& aggrs,
-                                 Schema* schema) {
+                                 const AggrState& aggrs, Schema* schema) {
   std::vector<int> key_cols;
   for (const std::string& g : group_by) {
     int ci = child.Find(g);
@@ -107,66 +336,8 @@ std::vector<int> BuildAggrSchema(const Schema& child,
     key_cols.push_back(ci);
     schema->Add(child.field(ci));
   }
-  for (const BoundAggr& a : aggrs) {
-    schema->Add(a.output, a.state_type);
-  }
+  aggrs.AddFields(schema);
   return key_cols;
-}
-
-std::unique_ptr<MultiExprEvaluator> BindAggrInputs(
-    ExecContext* ctx, const Schema& child, const std::vector<AggrSpec>& specs,
-    std::vector<BoundAggr>* bound, const std::string& label,
-    TraceNode* trace_parent) {
-  // Binding copies everything it needs (constants, arg refs); the widened
-  // expression trees can be dropped once the evaluator is constructed.
-  std::vector<ExprPtr> widened;
-  std::vector<const Expr*> ptrs;
-  bound->clear();
-  for (const AggrSpec& s : specs) {
-    BoundAggr b;
-    if (s.input != nullptr) {
-      widened.push_back(exprs::Call1("widen", s.input->Clone()));
-      b.input_idx = static_cast<int>(ptrs.size());
-      ptrs.push_back(widened.back().get());
-    }
-    bound->push_back(std::move(b));
-  }
-  std::unique_ptr<MultiExprEvaluator> eval;
-  if (!ptrs.empty()) {
-    eval = std::make_unique<MultiExprEvaluator>(ctx, child, ptrs, label,
-                                                trace_parent);
-  }
-  for (size_t i = 0; i < specs.size(); i++) {
-    TypeId t = TypeId::kI64;
-    if ((*bound)[i].input_idx >= 0) t = eval->type((*bound)[i].input_idx);
-    int saved_idx = (*bound)[i].input_idx;
-    BindAggr(ctx, specs[i], t, &(*bound)[i]);
-    (*bound)[i].input_idx = saved_idx;
-  }
-  return eval;
-}
-
-void UpdateAggr(BoundAggr* a, MultiExprEvaluator* inputs, VectorBatch* batch,
-                const uint32_t* groups) {
-  const void* col = nullptr;
-  size_t in_width = 0;
-  if (a->input_idx >= 0) {
-    MultiExprEvaluator::Out r = inputs->Result(a->input_idx, batch);
-    X100_CHECK(r.is_col);
-    col = r.data;
-    in_width = TypeWidth(r.type);
-  }
-  int n = batch->sel_count();
-  const int* sel = batch->sel();
-  if (a->stats) {
-    ScopedCycles cycles(a->stats);
-    a->prim->fn(n, a->state.data(), groups, col, sel);
-    a->stats->calls++;
-    a->stats->tuples += static_cast<uint64_t>(n);
-    a->stats->bytes += static_cast<uint64_t>(n) * (in_width + sizeof(uint32_t));
-  } else {
-    a->prim->fn(n, a->state.data(), groups, col, sel);
-  }
 }
 
 }  // namespace aggr_internal

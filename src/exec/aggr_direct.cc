@@ -1,28 +1,33 @@
+#include <algorithm>
 #include <cstring>
 
 #include "exec/aggr_internal.h"
 
 namespace x100 {
 
-using aggr_internal::BoundAggr;
+using aggr_internal::AggrState;
 
-// Direct aggregation (§4.1.2): group columns with small bit-domains index the
-// accumulator arrays directly — no hash table at all. For Q1 this is
-// map_directgrp over (l_returnflag, l_linestatus) into a 2^16 array, exactly
-// the Table 5 trace. Group values are reconstructed from the group id when
-// draining (the id *is* the concatenated bit representation).
+// Direct aggregation (§4.1.2): group columns with small domains index the
+// accumulator rows directly — no hash table at all. For Q1 this is
+// map_directgrp over (l_returnflag, l_linestatus), exactly the Table 5
+// trace. A key's domain is its dictionary when it carries enum codes, and
+// every bit pattern of its width otherwise; the id of two keys is
+// hi * |lo domain| + lo, so id order is key order, and group values are
+// reconstructed from the id when draining. Rows are initialized when a group
+// is first seen, so a sparse domain costs no fill.
 struct DirectAggrOp::Impl {
-  std::unique_ptr<MultiExprEvaluator> inputs;
-  std::vector<BoundAggr> aggrs;
+  std::unique_ptr<AggrState> aggrs;
 
   std::vector<int> key_cols;
   std::vector<size_t> key_widths;
+  uint32_t lo_card = 1;  // domain size of the second key (args[2])
   const MapPrimitive* grp_prim = nullptr;
   PrimitiveStats* grp_stats = nullptr;
   size_t grp_bytes_per_tuple = 0;
 
   size_t domain = 0;
   std::vector<uint8_t> seen;
+  bool rows_mark_seen = false;  // the aggregate row pass marks `seen`
   std::unique_ptr<uint32_t[]> groups;
 
   bool built = false;
@@ -39,9 +44,7 @@ DirectAggrOp::DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       group_by_(std::move(group_by)),
       specs_(std::move(aggrs)) {
   X100_CHECK(group_by_.size() >= 1 && group_by_.size() <= 2);
-  std::vector<BoundAggr> probe;
-  aggr_internal::BindAggrInputs(ctx_, child_->schema(), specs_, &probe,
-                                "DirectAggr");
+  AggrState probe(ctx_, child_->schema(), specs_, true, "DirectAggr");
   aggr_internal::BuildAggrSchema(child_->schema(), group_by_, probe, &schema_);
 }
 
@@ -52,21 +55,29 @@ void DirectAggrOp::Open() {
   impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
 
-  im.inputs = aggr_internal::BindAggrInputs(
-      ctx_, child_->schema(), specs_, &im.aggrs, "DirectAggr", trace_node_);
+  im.aggrs = std::make_unique<AggrState>(ctx_, child_->schema(), specs_, true,
+                                         "DirectAggr", trace_node_);
   schema_ = Schema();
   im.key_cols = aggr_internal::BuildAggrSchema(child_->schema(), group_by_,
-                                               im.aggrs, &schema_);
+                                               *im.aggrs, &schema_);
   const Schema& cs = child_->schema();
   std::string name = "map_directgrp";
   im.grp_bytes_per_tuple = sizeof(uint32_t);
+  im.domain = 1;
   for (int ci : im.key_cols) {
-    TypeId t = cs.field(ci).type;
-    X100_CHECK(TypeWidth(t) <= 2);
-    X100_CHECK(im.key_cols.size() == 1 || TypeWidth(t) == 1);
-    im.key_widths.push_back(TypeWidth(t));
-    name += std::string("_") + TypeName(t) + "_col";
-    im.grp_bytes_per_tuple += TypeWidth(t);
+    const Field& f = cs.field(ci);
+    size_t w = TypeWidth(f.type);
+    X100_CHECK(w <= 2);
+    X100_CHECK(im.key_cols.size() == 1 || w == 1);
+    // Dictionary bases and sizes are resolved by the child's Open.
+    uint32_t card = f.dict.valid() && f.dict.base != nullptr
+                        ? static_cast<uint32_t>(std::max(f.dict.size, 1))
+                        : 1u << (8 * w);
+    im.key_widths.push_back(w);
+    im.lo_card = card;
+    im.domain *= card;
+    name += std::string("_") + TypeName(f.type) + "_col";
+    im.grp_bytes_per_tuple += w;
   }
   im.grp_prim = PrimitiveRegistry::Get().FindMap(name);
   if (im.grp_prim == nullptr) {
@@ -75,27 +86,26 @@ void DirectAggrOp::Open() {
   }
   im.grp_stats = ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
 
-  im.domain = im.key_cols.size() == 2
-                  ? 1u << 16
-                  : (im.key_widths[0] == 1 ? 1u << 8 : 1u << 16);
   im.seen.assign(im.domain, 0);
   im.groups = std::make_unique<uint32_t[]>(ctx_->vector_size);
-  for (BoundAggr& a : im.aggrs) a.EnsureSlots(im.domain);
+  im.aggrs->AllocateDomain(im.domain);
+  im.rows_mark_seen = im.aggrs->FoldSeen(im.seen.data());
 }
 
 void DirectAggrOp::Build() {
   Impl& im = *impl_;
-  PrimitiveStats* op_stats =
-      ctx_->profiler ? ctx_->profiler->GetStats("DirectAggr") : nullptr;
+  PrimitiveStats* op_stats = ctx_->profiler && !im.rows_mark_seen
+                                 ? ctx_->profiler->GetStats("DirectAggr")
+                                 : nullptr;
   while (VectorBatch* batch = child_->Next()) {
-    if (im.inputs) im.inputs->Eval(batch);
     int n = batch->sel_count();
     const int* sel = batch->sel();
 
-    const void* args[2];
+    const void* args[3];
     for (size_t c = 0; c < im.key_cols.size(); c++) {
       args[c] = batch->column(im.key_cols[c]).data();
     }
+    args[2] = &im.lo_card;
     if (im.grp_stats) {
       ScopedCycles cyc(im.grp_stats);
       im.grp_prim->fn(n, im.groups.get(), args, sel);
@@ -106,21 +116,24 @@ void DirectAggrOp::Build() {
       im.grp_prim->fn(n, im.groups.get(), args, sel);
     }
 
-    uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
-    if (sel) {
-      for (int j = 0; j < n; j++) im.seen[im.groups[sel[j]]] = 1;
-    } else {
-      for (int i = 0; i < n; i++) im.seen[im.groups[i]] = 1;
+    if (!im.rows_mark_seen) {
+      // Operator loop (the DirectAggr row of Table 5): mark the groups,
+      // initializing each row on first sight.
+      uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
+      for (int j = 0; j < n; j++) {
+        uint32_t g = im.groups[sel ? sel[j] : j];
+        if (!im.seen[g]) {
+          im.seen[g] = 1;
+          im.aggrs->InitRow(g);
+        }
+      }
+      if (op_stats) {
+        op_stats->calls++;
+        op_stats->tuples += static_cast<uint64_t>(n);
+        op_stats->cycles += ReadCycleCounter() - t0;
+      }
     }
-    if (op_stats) {
-      op_stats->calls++;
-      op_stats->tuples += static_cast<uint64_t>(n);
-      op_stats->cycles += ReadCycleCounter() - t0;
-    }
-
-    for (BoundAggr& a : im.aggrs) {
-      aggr_internal::UpdateAggr(&a, im.inputs.get(), batch, im.groups.get());
-    }
+    im.aggrs->Update(batch, im.groups.get());
   }
   for (uint32_t g = 0; g < im.domain; g++) {
     if (im.seen[g]) im.present.push_back(g);
@@ -136,33 +149,23 @@ VectorBatch* DirectAggrOp::Next() {
 
   int n = static_cast<int>(std::min<size_t>(
       ctx_->vector_size, im.present.size() - im.emit_pos));
+  const uint32_t* ids = im.present.data() + im.emit_pos;
   for (int r = 0; r < n; r++) {
-    uint32_t gid = im.present[im.emit_pos + static_cast<size_t>(r)];
-    // Reconstruct group-key values from the id's bit layout.
+    // Reconstruct group-key values from the id.
     if (im.key_cols.size() == 2) {
       static_cast<uint8_t*>(im.out.column(0).data())[r] =
-          static_cast<uint8_t>(gid >> 8);
+          static_cast<uint8_t>(ids[r] / im.lo_card);
       static_cast<uint8_t*>(im.out.column(1).data())[r] =
-          static_cast<uint8_t>(gid & 0xFF);
+          static_cast<uint8_t>(ids[r] % im.lo_card);
     } else if (im.key_widths[0] == 1) {
       static_cast<uint8_t*>(im.out.column(0).data())[r] =
-          static_cast<uint8_t>(gid);
+          static_cast<uint8_t>(ids[r]);
     } else {
       static_cast<uint16_t*>(im.out.column(0).data())[r] =
-          static_cast<uint16_t>(gid);
+          static_cast<uint16_t>(ids[r]);
     }
   }
-  for (size_t a = 0; a < im.aggrs.size(); a++) {
-    int col = static_cast<int>(im.key_cols.size() + a);
-    size_t w = TypeWidth(im.aggrs[a].state_type);
-    char* dst = static_cast<char*>(im.out.column(col).data());
-    for (int r = 0; r < n; r++) {
-      uint32_t gid = im.present[im.emit_pos + static_cast<size_t>(r)];
-      std::memcpy(dst + static_cast<size_t>(r) * w,
-                  static_cast<const char*>(im.aggrs[a].state.data()) + gid * w,
-                  w);
-    }
-  }
+  im.aggrs->EmitIds(ids, n, &im.out, static_cast<int>(im.key_cols.size()));
   im.out.set_count(n);
   im.out.ClearSel();
   im.emit_pos += static_cast<size_t>(n);

@@ -6,18 +6,17 @@
 
 namespace x100 {
 
-using aggr_internal::BoundAggr;
+using aggr_internal::AggrState;
 
 // Hash aggregation (§4.1.2): per input vector, hash vectors are computed with
 // the map_hash / map_rehash primitives, then a vectorized probe over the
-// shared hash-table layer assigns each tuple its group slot, and the aggr_*
-// primitives update the accumulators (the hash-table-maintenance half of
+// shared hash-table layer assigns each tuple its group slot, and the shared
+// aggregate step updates the accumulators (the hash-table-maintenance half of
 // Figure 6). New groups are created in first-encounter (lane) order, so
 // group ids — and therefore output row order — follow the input, not the
 // slot layout.
 struct HashAggrOp::Impl {
-  std::unique_ptr<MultiExprEvaluator> inputs;
-  std::vector<BoundAggr> aggrs;
+  std::unique_ptr<AggrState> aggrs;
 
   std::vector<int> key_cols;       // child schema indices
   std::vector<size_t> key_widths;  // physical widths
@@ -77,7 +76,7 @@ struct HashAggrOp::Impl {
       key_store[c].Append(data + static_cast<size_t>(pos) * key_widths[c],
                           key_widths[c]);
     }
-    for (BoundAggr& a : aggrs) a.EnsureSlots(num_groups);
+    aggrs->Grow(num_groups);
     return g;
   }
 };
@@ -89,9 +88,8 @@ HashAggrOp::HashAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       child_(std::move(child)),
       group_by_(std::move(group_by)),
       specs_(std::move(aggrs)) {
-  std::vector<BoundAggr> probe;
-  aggr_internal::BindAggrInputs(ctx_, child_->schema(), specs_, &probe,
-                                "HashAggr");
+  AggrState probe(ctx_, child_->schema(), specs_, !group_by_.empty(),
+                  "HashAggr");
   aggr_internal::BuildAggrSchema(child_->schema(), group_by_, probe, &schema_);
 }
 
@@ -102,11 +100,12 @@ void HashAggrOp::Open() {
   impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
 
-  im.inputs = aggr_internal::BindAggrInputs(
-      ctx_, child_->schema(), specs_, &im.aggrs, "HashAggr", trace_node_);
+  im.aggrs = std::make_unique<AggrState>(ctx_, child_->schema(), specs_,
+                                         !group_by_.empty(), "HashAggr",
+                                         trace_node_);
   schema_ = Schema();
   im.key_cols = aggr_internal::BuildAggrSchema(child_->schema(), group_by_,
-                                               im.aggrs, &schema_);
+                                               *im.aggrs, &schema_);
   const Schema& cs = child_->schema();
   for (int ci : im.key_cols) {
     im.key_widths.push_back(TypeWidth(cs.field(ci).type));
@@ -139,14 +138,13 @@ void HashAggrOp::Open() {
   if (group_by_.empty()) {
     // Scalar aggregation: a single group exists even on empty input.
     im.num_groups = 1;
-    for (BoundAggr& a : im.aggrs) a.EnsureSlots(1);
+    im.aggrs->Grow(1);
   }
 }
 
 void HashAggrOp::Build() {
   Impl& im = *impl_;
   while (VectorBatch* batch = child_->Next()) {
-    if (im.inputs) im.inputs->Eval(batch);
     int n = batch->sel_count();
     im.input_tuples += static_cast<uint64_t>(n);
     const int* sel = batch->sel();
@@ -218,9 +216,7 @@ void HashAggrOp::Build() {
       groups_ptr = im.groups.get();
     }
 
-    for (BoundAggr& a : im.aggrs) {
-      aggr_internal::UpdateAggr(&a, im.inputs.get(), batch, groups_ptr);
-    }
+    im.aggrs->Update(batch, groups_ptr);
   }
   MetricsRegistry& reg = MetricsRegistry::Get();
   reg.GetHistogram("aggr.hash.groups")->Record(im.num_groups);
@@ -244,13 +240,8 @@ VectorBatch* HashAggrOp::Next() {
     std::memcpy(im.out.column(static_cast<int>(c)).data(), src,
                 static_cast<size_t>(n) * im.key_widths[c]);
   }
-  for (size_t a = 0; a < im.aggrs.size(); a++) {
-    int col = static_cast<int>(im.key_cols.size() + a);
-    size_t w = TypeWidth(im.aggrs[a].state_type);
-    const char* src =
-        static_cast<const char*>(im.aggrs[a].state.data()) + im.emit_pos * w;
-    std::memcpy(im.out.column(col).data(), src, static_cast<size_t>(n) * w);
-  }
+  im.aggrs->EmitRange(im.emit_pos, n, &im.out,
+                      static_cast<int>(im.key_cols.size()));
   im.out.set_count(n);
   im.out.ClearSel();
   im.emit_pos += static_cast<size_t>(n);

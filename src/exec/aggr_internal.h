@@ -4,39 +4,86 @@
 // Shared internals of the three aggregation operators. Include only from
 // exec/aggr_*.cc.
 
-#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exec/aggr.h"
+#include "storage/buffer.h"
 
 namespace x100::aggr_internal {
 
-/// Maps an AggrSpec to its primitive, given the widened input type.
-/// For kCount input_type is ignored.
-void BindAggr(ExecContext* ctx, const AggrSpec& spec, TypeId input_type,
-              BoundAggr* out);
+/// The accumulators of one aggregation operator (§4.1.2), and the one update
+/// step that DirectAggr, HashAggr and OrdAggr share.
+///
+/// Aggregates live in blocks. A block holds one row per group, the slots of
+/// its aggregates side by side (NSM). Which aggregates share a block is fixed
+/// at bind time by ExecContext::fuse_compound_primitives: with fusion on, all
+/// aggregates of a grouped operator share one block, updated by aggr_rows in
+/// one pass per tuple. Otherwise, and always for scalar aggregation and for a
+/// single aggregate, each aggregate has a block of its own (a column) updated
+/// by its typed aggr_* primitive. Per group and aggregate, updates happen in
+/// input order in both layouts, so results are bit-identical.
+class AggrState {
+ public:
+  /// Binds the widened aggregate inputs against `child` and lays out the
+  /// blocks. `grouped` is false for scalar aggregation (one group, no group
+  /// ids). `trace_parent` (optional): plan-trace node that fused-chain steps
+  /// in the inputs attach their fused[...] sub-nodes to.
+  AggrState(ExecContext* ctx, const Schema& child,
+            const std::vector<AggrSpec>& specs, bool grouped,
+            const std::string& label, TraceNode* trace_parent = nullptr);
+  ~AggrState();
 
-/// Builds the output schema: group fields (copied from the child schema, with
-/// dictionaries) followed by one field per aggregate (typed by its
-/// accumulator). Returns child schema indices of the group columns.
+  /// Appends one output field per aggregate, typed by its accumulator.
+  void AddFields(Schema* schema) const;
+
+  /// Appends initialized rows up to `n` groups.
+  void Grow(size_t n);
+
+  /// Sizes the blocks for a fixed domain of `n` groups without initializing
+  /// them. Every row must be initialized before its first update: the row
+  /// pass does that itself when FoldSeen() returned true, otherwise the
+  /// caller calls InitRow() when it first marks a group.
+  void AllocateDomain(size_t n);
+  void InitRow(uint32_t group);
+
+  /// For a domain sized by AllocateDomain: lets the row pass mark `seen[g]`
+  /// and initialize row g on first use. Returns false (and changes nothing)
+  /// when there is no row pass, in which case the caller marks.
+  bool FoldSeen(uint8_t* seen);
+
+  /// Evaluates the inputs over `batch` and updates every aggregate for its
+  /// live positions. `groups` holds a group id per position (null for
+  /// scalar aggregation).
+  void Update(VectorBatch* batch, const uint32_t* groups);
+
+  /// Writes the aggregates of groups [first, first + n) to output columns
+  /// first_col, first_col + 1, ... of `out`.
+  void EmitRange(size_t first, int n, VectorBatch* out, int first_col) const;
+  /// Same for the groups ids[0..n).
+  void EmitIds(const uint32_t* ids, int n, VectorBatch* out,
+               int first_col) const;
+
+  /// Drops the rows of the first `n` groups; group ids shift down by n.
+  void DropFront(size_t n);
+
+ private:
+  struct Aggr;
+  struct Block;
+
+  std::unique_ptr<MultiExprEvaluator> inputs_;
+  std::vector<Aggr> aggrs_;
+  std::vector<Block> blocks_;
+  size_t rows_ = 0;  // groups with allocated rows
+};
+
+/// Builds an aggregation's output schema: the group fields (copied from the
+/// child schema, with dictionaries) followed by the aggregates' fields.
+/// Returns child schema indices of the group columns.
 std::vector<int> BuildAggrSchema(const Schema& child,
                                  const std::vector<std::string>& group_by,
-                                 const std::vector<BoundAggr>& aggrs,
-                                 Schema* schema);
-
-/// Wraps each aggregate input in widen() and binds them all in one program.
-/// Fills input_idx on the BoundAggrs. Returns null if there are no inputs.
-/// `trace_parent` (optional): plan-trace node fused-chain steps in the
-/// inputs attach their fused[...] sub-nodes to.
-std::unique_ptr<MultiExprEvaluator> BindAggrInputs(
-    ExecContext* ctx, const Schema& child, const std::vector<AggrSpec>& specs,
-    std::vector<BoundAggr>* bound, const std::string& label,
-    TraceNode* trace_parent = nullptr);
-
-/// Runs one aggregate update over the live positions of `batch`.
-void UpdateAggr(BoundAggr* a, MultiExprEvaluator* inputs, VectorBatch* batch,
-                const uint32_t* groups);
+                                 const AggrState& aggrs, Schema* schema);
 
 }  // namespace x100::aggr_internal
 

@@ -5,7 +5,7 @@
 
 namespace x100 {
 
-using aggr_internal::BoundAggr;
+using aggr_internal::AggrState;
 
 namespace {
 
@@ -62,14 +62,13 @@ using GatherFn = void (*)(int, const void*, const int*, void*);
 //      the predecessor live position (the open group's key for the first);
 //   2. a prefix sum over the flags gives every live position its group slot;
 //   3. the new groups' keys are gathered in one pass per key column;
-//   4. each aggregate is one aggr_* primitive call over the whole vector,
-//      exactly as in HashAggr.
+//   4. the aggregates are updated over the whole vector by the step shared
+//      with HashAggr and DirectAggr.
 // Slot layout: [finished groups not yet emitted..., open group]. Emission
 // drops finished groups, so the operator retains at most 2 x vector_size
 // groups however many it produces.
 struct OrdAggrOp::Impl {
-  std::unique_ptr<MultiExprEvaluator> inputs;
-  std::vector<BoundAggr> aggrs;
+  std::unique_ptr<AggrState> aggrs;
 
   std::vector<int> key_cols;
   std::vector<size_t> key_widths;
@@ -91,7 +90,6 @@ struct OrdAggrOp::Impl {
   size_t finished() const { return have_group ? slots - 1 : slots; }
 
   void Consume(VectorBatch* batch) {
-    if (inputs) inputs->Eval(batch);
     int n = batch->sel_count();
     if (n == 0) return;
     const int* sel = batch->sel();
@@ -133,10 +131,8 @@ struct OrdAggrOp::Impl {
     slots += static_cast<size_t>(k);
     have_group = true;
     max_retained = std::max(max_retained, slots);
-    for (BoundAggr& a : aggrs) {
-      a.EnsureSlots(slots);
-      aggr_internal::UpdateAggr(&a, inputs.get(), batch, groups.get());
-    }
+    aggrs->Grow(slots);
+    aggrs->Update(batch, groups.get());
   }
 
   // Copies the first `n` slots into `out`, then shifts the rest down.
@@ -150,15 +146,8 @@ struct OrdAggrOp::Impl {
       std::memmove(src, src + static_cast<size_t>(n) * w, rem * w);
       key_store[c].Resize(rem * w);
     }
-    for (size_t a = 0; a < aggrs.size(); a++) {
-      size_t w = TypeWidth(aggrs[a].state_type);
-      char* src = static_cast<char*>(aggrs[a].state.data());
-      std::memcpy(out.column(static_cast<int>(key_cols.size() + a)).data(),
-                  src, static_cast<size_t>(n) * w);
-      std::memmove(src, src + static_cast<size_t>(n) * w, rem * w);
-      aggrs[a].state.Resize(rem * w);
-      aggrs[a].slots = rem;
-    }
+    aggrs->EmitRange(0, n, &out, static_cast<int>(key_cols.size()));
+    aggrs->DropFront(static_cast<size_t>(n));
     slots = rem;
     produced += static_cast<size_t>(n);
     out.set_count(n);
@@ -174,9 +163,7 @@ OrdAggrOp::OrdAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
       group_by_(std::move(group_by)),
       specs_(std::move(aggrs)) {
   X100_CHECK(!group_by_.empty());
-  std::vector<BoundAggr> probe;
-  aggr_internal::BindAggrInputs(ctx_, child_->schema(), specs_, &probe,
-                                "OrdAggr");
+  AggrState probe(ctx_, child_->schema(), specs_, true, "OrdAggr");
   aggr_internal::BuildAggrSchema(child_->schema(), group_by_, probe, &schema_);
 }
 
@@ -187,11 +174,11 @@ void OrdAggrOp::Open() {
   impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
 
-  im.inputs = aggr_internal::BindAggrInputs(ctx_, child_->schema(), specs_,
-                                            &im.aggrs, "OrdAggr", trace_node_);
+  im.aggrs = std::make_unique<AggrState>(ctx_, child_->schema(), specs_, true,
+                                         "OrdAggr", trace_node_);
   schema_ = Schema();
   im.key_cols = aggr_internal::BuildAggrSchema(child_->schema(), group_by_,
-                                               im.aggrs, &schema_);
+                                               *im.aggrs, &schema_);
   const Schema& cs = child_->schema();
   for (int ci : im.key_cols) {
     const Field& f = cs.field(ci);

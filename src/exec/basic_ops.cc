@@ -7,7 +7,11 @@ namespace x100 {
 // ---- SelectOp ---------------------------------------------------------------
 
 SelectOp::SelectOp(ExecContext* ctx, std::unique_ptr<Operator> child, ExprPtr pred)
-    : ctx_(ctx), child_(std::move(child)), pred_(std::move(pred)) {}
+    : ctx_(ctx), child_(std::move(child)), pred_(std::move(pred)) {
+  // Bind once now so a malformed predicate fails at construction (dictionary
+  // bases may still be unresolved; the Open()-time bind is authoritative).
+  PredicateEvaluator probe(ctx_, child_->schema(), *pred_, "Select");
+}
 
 void SelectOp::Open() {
   child_->Open();

@@ -259,10 +259,18 @@ ValueNode Program::Cast(ValueNode node, TypeId to) {
   return out;
 }
 
-void Program::NoteSubtreeUses(const Expr& expr) {
-  if (expr.kind() != Expr::Kind::kCall) return;
-  use_counts_[expr.Signature()]++;
-  for (const ExprPtr& a : expr.args()) NoteSubtreeUses(*a);
+std::string Program::NoteSubtreeUses(const Expr& expr) {
+  if (expr.kind() != Expr::Kind::kCall) return expr.Signature();
+  // Expr::Signature() of a call, built from its arguments' signatures so
+  // that each subtree is rendered once, not once per enclosing call.
+  std::string sig = expr.name() + "(";
+  for (size_t i = 0; i < expr.args().size(); i++) {
+    if (i) sig += ",";
+    sig += NoteSubtreeUses(*expr.args()[i]);
+  }
+  sig += ")";
+  use_counts_[sig]++;
+  return sig;
 }
 
 std::optional<TypeId> Program::InferType(const Schema& input,

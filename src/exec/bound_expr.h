@@ -85,8 +85,8 @@ class Program {
   /// Pre-counts call-subtree occurrences across a program's expressions so
   /// the chain fuser refuses to absorb a shared subtree into a fused kernel
   /// (which would defeat CSE by recomputing it). Call once per expression,
-  /// before any BindValue.
-  void NoteSubtreeUses(const Expr& expr);
+  /// before any BindValue. Returns the expression's Signature().
+  std::string NoteSubtreeUses(const Expr& expr);
 
   /// Binds an expression into this program (recursive, CSE-memoized).
   ValueNode BindValue(const Schema& input, const Expr& expr);

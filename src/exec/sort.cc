@@ -22,6 +22,16 @@ Schema DecodedSchema(const Schema& child) {
   return s;
 }
 
+/// Child column of sort key `k`; throws when there is none.
+int SortKeyColumn(const Schema& child, const OrdKey& k) {
+  int ci = child.Find(k.name);
+  if (ci < 0) {
+    throw std::invalid_argument("no sort key column '" + k.name + "' in " +
+                                child.ToString());
+  }
+  return ci;
+}
+
 /// Columnar sort state: the child Dataflow is drained into a column store
 /// (physical values, dictionaries kept), an index vector is sorted with
 /// typed comparators, and output batches are gathered — no per-row boxing.
@@ -34,12 +44,7 @@ class ColumnarSort {
     for (const Field& f : child->schema().fields()) cols.push_back(f.name);
     store_.Init(child->schema(), cols);
     for (const OrdKey& k : keys) {
-      int ci = child->schema().Find(k.name);
-      if (ci < 0) {
-        throw std::invalid_argument("no sort key column '" + k.name + "' in " +
-                                    child->schema().ToString());
-      }
-      key_cols_.push_back(ci);
+      key_cols_.push_back(SortKeyColumn(child->schema(), k));
       desc_.push_back(k.desc);
     }
   }
@@ -212,6 +217,7 @@ OrderOp::OrderOp(ExecContext* ctx, std::unique_ptr<Operator> child,
                  std::vector<OrdKey> keys)
     : ctx_(ctx), child_(std::move(child)), keys_(std::move(keys)) {
   schema_ = DecodedSchema(child_->schema());
+  for (const OrdKey& k : keys_) SortKeyColumn(child_->schema(), k);
 }
 
 OrderOp::~OrderOp() = default;
@@ -246,6 +252,7 @@ TopNOp::TopNOp(ExecContext* ctx, std::unique_ptr<Operator> child,
                std::vector<OrdKey> keys, int64_t n)
     : ctx_(ctx), child_(std::move(child)), keys_(std::move(keys)), limit_(n) {
   schema_ = DecodedSchema(child_->schema());
+  for (const OrdKey& k : keys_) SortKeyColumn(child_->schema(), k);
 }
 
 TopNOp::~TopNOp() = default;

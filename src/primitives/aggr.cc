@@ -1,4 +1,8 @@
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "primitives/kernels.h"
 #include "primitives/primitive.h"
@@ -28,6 +32,150 @@ void AggrCount(int n, void* agg, const uint32_t* groups, const void* col,
   }
 }
 
+// ---- aggr_rows ---------------------------------------------------------------
+//
+// The row is updated in passes over the vector, one per run of up to
+// kMaxRun adjacent slots of one kind (the binder sorts slots by kind, so a
+// row usually has one run per kind). Within a pass the C updates of a tuple
+// are unrolled, so their C store-to-load chains overlap, and the first count
+// slot rides along with the first pass. Every pass visits the tuples in
+// input order, so each slot sees its inputs in input order.
+
+constexpr int kMaxRun = 8;
+
+struct CountOp {};
+
+struct RowPassArgs {
+  int n;
+  const int* sel;
+  const uint32_t* groups;
+  char* base;
+  size_t stride;
+  const void* cols[kMaxRun];
+  uint32_t off;        // byte offset of the run's first slot
+  uint32_t count_off;  // the riding count slot (kCount passes only)
+  uint8_t* seen;       // first pass only: initialize rows on first use
+  const void* init;
+};
+
+template <typename S, typename A, typename Op, int C, bool kCount>
+void RowPass(const RowPassArgs& a) {
+  // Locals: the accumulator stores may alias anything reached through `a`.
+  const int n = a.n;
+  const int* const sel = a.sel;
+  const uint32_t* const groups = a.groups;
+  const size_t stride = a.stride;
+  char* const run = a.base + a.off;
+  char* const count = a.base + a.count_off;
+  uint8_t* const seen = a.seen;
+  const A* in[C];
+#pragma GCC unroll 8
+  for (int c = 0; c < C; c++) in[c] = static_cast<const A*>(a.cols[c]);
+  auto update = [&](int i) __attribute__((always_inline)) {
+    size_t g = groups[i];
+    size_t row = g * stride;
+    if (seen != nullptr && !seen[g]) {
+      std::memcpy(a.base + row, a.init, stride);
+      seen[g] = 1;
+    }
+    S* acc = reinterpret_cast<S*>(run + row);
+#pragma GCC unroll 8
+    for (int c = 0; c < C; c++) {
+      if constexpr (std::is_same_v<Op, CountOp>) {
+        ++acc[c];
+      } else {
+        Op::Update(&acc[c], in[c][i]);
+      }
+    }
+    if constexpr (kCount) ++*reinterpret_cast<int64_t*>(count + row);
+  };
+  if (sel) {
+    for (int j = 0; j < n; j++) update(sel[j]);
+  } else {
+    for (int i = 0; i < n; i++) update(i);
+  }
+}
+
+using RowPassFn = void (*)(const RowPassArgs&);
+
+template <typename S, typename A, typename Op, bool kCount, size_t... C>
+constexpr std::array<RowPassFn, kMaxRun> RowPassTable(
+    std::index_sequence<C...>) {
+  return {&RowPass<S, A, Op, static_cast<int>(C) + 1, kCount>...};
+}
+
+template <typename S, typename A, typename Op>
+RowPassFn PickRowPass(int c, bool count) {
+  static constexpr auto kPlain = RowPassTable<S, A, Op, false>(
+      std::make_index_sequence<kMaxRun>());
+  static constexpr auto kCounted = RowPassTable<S, A, Op, true>(
+      std::make_index_sequence<kMaxRun>());
+  return (count ? kCounted : kPlain)[c - 1];
+}
+
+RowPassFn FindRowPass(AggrSlotKind kind, int c, bool count) {
+  switch (kind) {
+    case AggrSlotKind::kCount: return PickRowPass<int64_t, int64_t, CountOp>(c, count);
+    case AggrSlotKind::kSumI32: return PickRowPass<int64_t, int32_t, SumOp>(c, count);
+    case AggrSlotKind::kSumI64: return PickRowPass<int64_t, int64_t, SumOp>(c, count);
+    case AggrSlotKind::kSumF64: return PickRowPass<double, double, SumOp>(c, count);
+    case AggrSlotKind::kMinI32: return PickRowPass<int32_t, int32_t, MinOp>(c, count);
+    case AggrSlotKind::kMinI64: return PickRowPass<int64_t, int64_t, MinOp>(c, count);
+    case AggrSlotKind::kMinF64: return PickRowPass<double, double, MinOp>(c, count);
+    case AggrSlotKind::kMaxI32: return PickRowPass<int32_t, int32_t, MaxOp>(c, count);
+    case AggrSlotKind::kMaxI64: return PickRowPass<int64_t, int64_t, MaxOp>(c, count);
+    case AggrSlotKind::kMaxF64: return PickRowPass<double, double, MaxOp>(c, count);
+  }
+  return nullptr;
+}
+
+uint32_t SlotWidth(AggrSlotKind kind) {
+  return kind == AggrSlotKind::kMinI32 || kind == AggrSlotKind::kMaxI32 ? 4 : 8;
+}
+
+// aggr_rows: the NSM multi-aggregate update (see AggrRowLayout).
+void AggrRows(int n, void* agg, const uint32_t* groups, const void* col,
+              const int* sel) {
+  const AggrRowLayout& l = *static_cast<const AggrRowLayout*>(col);
+  const AggrRowSlot* s = l.slots;
+  RowPassArgs a{};
+  a.n = n;
+  a.sel = sel;
+  a.groups = groups;
+  a.base = static_cast<char*>(agg);
+  a.stride = l.stride;
+  a.seen = l.seen;
+  a.init = l.init;
+  int rider = -1;  // the count slot that rides along with the first pass
+  for (int j = 0; j < l.k && rider < 0; j++) {
+    if (s[j].kind == AggrSlotKind::kCount) rider = j;
+  }
+  if (rider >= 0 && l.k == 1) rider = -1;
+  bool first = true;
+  for (int j = 0; j < l.k;) {
+    if (j == rider) {
+      j++;
+      continue;
+    }
+    // Extend the run over adjacent slots of the same kind.
+    uint32_t w = SlotWidth(s[j].kind);
+    int c = 1;
+    while (c < kMaxRun && j + c < l.k && j + c != rider &&
+           s[j + c].kind == s[j].kind &&
+           s[j + c].offset == s[j].offset + static_cast<uint32_t>(c) * w) {
+      c++;
+    }
+    for (int x = 0; x < c; x++) a.cols[x] = s[j + x].col;
+    a.off = s[j].offset;
+    bool count = rider >= 0 && first;
+    if (count) a.count_off = s[rider].offset;
+    FindRowPass(s[j].kind, c, count)(a);
+    first = false;
+    a.seen = nullptr;
+    j += c;
+  }
+}
+
 }  // namespace
 
 void RegisterAggrPrimitives(PrimitiveRegistry* r) {
@@ -44,6 +192,8 @@ void RegisterAggrPrimitives(PrimitiveRegistry* r) {
   r->RegisterAggr("aggr_max_i64_col", TypeId::kI64, &AggrUpdate<int64_t, int64_t, MaxOp>);
 
   r->RegisterAggr("aggr_count", TypeId::kI64, &AggrCount);
+  // The state of aggr_rows is a row of mixed slots; its state_type is unused.
+  r->RegisterAggr("aggr_rows", TypeId::kI64, &AggrRows);
 }
 
 }  // namespace x100

@@ -32,7 +32,8 @@ using MapFn = void (*)(int n, void* res, const void* const* args, const int* sel
 using SelectFn = int (*)(int n, int* res_sel, const void* const* args, const int* sel);
 
 /// Aggregate-update primitive: agg[group[i]] op= col[i] for the n (selected)
-/// positions. `groups` may be null, meaning group 0 (scalar aggregates).
+/// positions. `groups` may be null, meaning group 0 (scalar aggregates);
+/// aggr_rows requires them and takes an AggrRowLayout as `col`.
 using AggrFn = void (*)(int n, void* agg, const uint32_t* groups, const void* col,
                         const int* sel);
 
@@ -60,6 +61,38 @@ struct DenseDomain {
 struct AggrPrimitive {
   TypeId state_type;  // accumulator slot type (i32 sums widen to i64)
   AggrFn fn;
+};
+
+/// One accumulator of an aggr_rows row: the aggregate and its widened input
+/// type, which fixes the slot type exactly as the matching aggr_* primitive's
+/// state_type does.
+enum class AggrSlotKind : uint8_t {
+  kCount,
+  kSumI32, kSumI64, kSumF64,
+  kMinI32, kMinI64, kMinF64,
+  kMaxI32, kMaxI64, kMaxF64,
+};
+
+struct AggrRowSlot {
+  AggrSlotKind kind;
+  uint32_t offset;   // byte offset of the accumulator within a group's row
+  const void* col;   // input column of the current vector (unused by kCount)
+};
+
+/// Argument of the aggr_rows primitive, passed as its AggrFn `col`. The
+/// accumulators of one group lie side by side in a row of `stride` bytes
+/// (NSM), and for each live position i the primitive updates all `k` slots
+/// of row groups[i] before moving on, so the k update chains of a group
+/// overlap instead of each waiting on its own previous store. Per slot,
+/// updates still happen in input order. When `seen` is set, a row whose
+/// `seen` byte is zero is first copied from `init` (one initialized row) and
+/// the byte is set, so rows of a sparse domain are initialized on first use.
+struct AggrRowLayout {
+  const AggrRowSlot* slots = nullptr;
+  int k = 0;
+  size_t stride = 0;
+  uint8_t* seen = nullptr;
+  const void* init = nullptr;
 };
 
 /// Name → primitive tables, built once. The exec-layer binder composes names

@@ -65,6 +65,9 @@ void EventLoop::DelFd(int fd) {
 void EventLoop::Post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // After Run() has returned nothing would ever run the task; dropping it
+    // (on return, outside the lock) releases what it captured.
+    if (done_) return;
     tasks_.push_back(std::move(task));
   }
   Wake();
@@ -134,6 +137,16 @@ void EventLoop::Run() {
   }
   // Final drain so tasks posted around Stop() (connection teardown) run.
   DrainTasks();
+  // Then release the handlers and any task that arrived after the drain:
+  // they may own objects that own this loop (a connection holds its loop),
+  // and such a cycle would never be freed.
+  std::vector<std::function<void()>> late;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    done_ = true;
+    late.swap(tasks_);
+  }
+  callbacks_.clear();
 }
 
 }  // namespace x100

@@ -44,11 +44,12 @@ class EventLoop {
 
   /// Runs `task` on the loop thread at the next iteration. Thread-safe;
   /// wakes a sleeping epoll_wait. Tasks posted after Stop() still run
-  /// during the final drain before Run() returns.
+  /// during the final drain before Run() returns; later ones are dropped.
   void Post(std::function<void()> task);
 
   /// Dispatches events and posted tasks until Stop(). Call from exactly
-  /// one thread; that thread becomes the loop thread.
+  /// one thread; that thread becomes the loop thread. On return it releases
+  /// every registered handler.
   void Run();
 
   /// Makes Run() return after the current iteration. Thread-safe.
@@ -66,9 +67,10 @@ class EventLoop {
   int wake_fd_ = -1;  // eventfd: cross-thread wakeup for Post/Stop
   std::map<int, IoCallback> callbacks_;  // loop thread only
 
-  std::mutex mu_;  // guards tasks_ and stop_
+  std::mutex mu_;  // guards tasks_, stop_ and done_
   std::vector<std::function<void()>> tasks_;
   bool stop_ = false;
+  bool done_ = false;  // Run() has returned: Post drops its task
 
   std::thread::id loop_thread_;
 };

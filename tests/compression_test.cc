@@ -4,6 +4,7 @@
 // INT_MIN/INT_MAX neighbours), and the codec-selection contracts
 // (PickCodec / EncodeBestCodec raw fallback).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -72,7 +73,7 @@ void ExpectRoundTrip(CodecId id, const std::vector<int64_t>& vals,
 
   std::vector<char> out(in.size() + 8, char(0xAB));
   EXPECT_EQ(codec->Decode(enc.data(), bytes, out.data(), width), n);
-  EXPECT_EQ(std::memcmp(out.data(), in.data(), in.size()), 0);
+  EXPECT_TRUE(std::equal(in.begin(), in.end(), out.begin()));
 }
 
 void ExpectRoundTripAll(const std::vector<int64_t>& vals,
@@ -202,7 +203,7 @@ TEST(CodecTest, EncodeBestCodecNeverBeatsRawByLosing) {
       std::vector<char> out(in.size() + 8);
       EXPECT_EQ(codec->Decode(enc.data(), bytes, out.data(), width),
                 static_cast<int64_t>(vals.size()));
-      EXPECT_EQ(std::memcmp(out.data(), in.data(), in.size()), 0);
+      EXPECT_TRUE(std::equal(in.begin(), in.end(), out.begin()));
     }
   }
   // All-equal beats raw decisively at width 8.
