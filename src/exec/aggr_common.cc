@@ -1,8 +1,9 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <utility>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/aggr_internal.h"
 
@@ -36,31 +37,15 @@ AggrSlotKind SlotKind(AggrOp op, TypeId input) {
   return kKinds[o][t];
 }
 
-// Writes op's initial accumulator value (sum/count 0, min +max, max -max)
-// of the given state type at `dst`.
-void WriteInit(AggrOp op, TypeId state, void* dst) {
-  switch (state) {
-    case TypeId::kF64: {
-      constexpr double kInf = std::numeric_limits<double>::infinity();
-      double v = op == AggrOp::kMin ? kInf : op == AggrOp::kMax ? -kInf : 0.0;
-      std::memcpy(dst, &v, sizeof(v));
-      break;
-    }
-    case TypeId::kI64: {
-      using L = std::numeric_limits<int64_t>;
-      int64_t v = op == AggrOp::kMin ? L::max() : op == AggrOp::kMax ? L::min() : 0;
-      std::memcpy(dst, &v, sizeof(v));
-      break;
-    }
-    case TypeId::kI32: {
-      using L = std::numeric_limits<int32_t>;
-      int32_t v = op == AggrOp::kMin ? L::max() : op == AggrOp::kMax ? L::min() : 0;
-      std::memcpy(dst, &v, sizeof(v));
-      break;
-    }
-    default:
-      X100_CHECK(false);
-  }
+// Writes op's initial accumulator value of type T at `dst`: 0 for sum and
+// count, the top of T's range for min, the bottom for max.
+template <typename T>
+void WriteInit(AggrOp op, void* dst) {
+  using L = std::numeric_limits<T>;
+  T top = L::has_infinity ? L::infinity() : L::max();
+  T bottom = L::has_infinity ? -L::infinity() : L::min();
+  T v = op == AggrOp::kMin ? top : op == AggrOp::kMax ? bottom : T{0};
+  std::memcpy(dst, &v, sizeof(v));
 }
 
 // Copies slot values of width sizeof(T) from rows `row(r)` of `base` into
@@ -150,11 +135,9 @@ AggrState::AggrState(ExecContext* ctx, const Schema& child,
   // aggregate. Aggregates of k distinct kinds without a count (Q21's min and
   // max) would take k single-slot passes, each slower than the typed column
   // loop, so they keep a column each.
-  std::vector<int> per_kind(static_cast<int>(AggrSlotKind::kMaxF64) + 1, 0);
-  for (AggrSlotKind k : kinds) per_kind[static_cast<int>(k)]++;
-  bool overlaps = per_kind[static_cast<int>(AggrSlotKind::kCount)] > 0 &&
-                  aggrs_.size() > 1;
-  for (int n : per_kind) overlaps |= n > 1;
+  std::set<AggrSlotKind> distinct(kinds.begin(), kinds.end());
+  bool overlaps = distinct.size() < kinds.size() ||
+                  (distinct.count(AggrSlotKind::kCount) > 0 && kinds.size() > 1);
   bool rows = grouped && ctx->fuse_compound_primitives && overlaps;
   for (size_t i = 0; i < aggrs_.size(); i++) {
     if (i == 0 || !rows) blocks_.emplace_back();
@@ -186,7 +169,13 @@ AggrState::AggrState(ExecContext* ctx, const Schema& child,
     std::memset(b.init.data(), 0, b.stride);
     for (size_t m : b.members) {
       const Aggr& a = aggrs_[m];
-      WriteInit(a.op, a.state_type, static_cast<char*>(b.init.data()) + a.offset);
+      char* dst = static_cast<char*>(b.init.data()) + a.offset;
+      switch (a.state_type) {
+        case TypeId::kF64: WriteInit<double>(a.op, dst); break;
+        case TypeId::kI64: WriteInit<int64_t>(a.op, dst); break;
+        case TypeId::kI32: WriteInit<int32_t>(a.op, dst); break;
+        default: X100_CHECK(false);
+      }
     }
     std::string name = "aggr_rows";
     if (b.members.size() == 1) {

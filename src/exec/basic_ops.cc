@@ -10,7 +10,11 @@ SelectOp::SelectOp(ExecContext* ctx, std::unique_ptr<Operator> child, ExprPtr pr
     : ctx_(ctx), child_(std::move(child)), pred_(std::move(pred)) {
   // Bind once now so a malformed predicate fails at construction (dictionary
   // bases may still be unresolved; the Open()-time bind is authoritative).
-  PredicateEvaluator probe(ctx_, child_->schema(), *pred_, "Select");
+  // The probe leaves no profiler rows behind: Table 5 lists primitives in
+  // the order the authoritative binds register them.
+  ExecContext probe_ctx = *ctx_;
+  probe_ctx.profiler = nullptr;
+  PredicateEvaluator probe(&probe_ctx, child_->schema(), *pred_, "Select");
 }
 
 void SelectOp::Open() {
