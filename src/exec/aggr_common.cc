@@ -59,6 +59,12 @@ void GatherSlot(char* dst, const char* base, size_t stride, size_t offset,
   }
 }
 
+// Copies the W-byte row `init` into rows [0, n) of `dst`.
+template <size_t W>
+void FillRows(char* dst, size_t n, const void* init) {
+  for (size_t r = 0; r < n; r++) std::memcpy(dst + r * W, init, W);
+}
+
 }  // namespace
 
 struct AggrState::Aggr {
@@ -206,9 +212,16 @@ void AggrState::Grow(size_t n) {
   if (n <= rows_) return;
   for (Block& b : blocks_) {
     b.state.Resize(n * b.stride);
-    char* s = static_cast<char*>(b.state.data());
-    for (size_t r = rows_; r < n; r++) {
-      std::memcpy(s + r * b.stride, b.init.data(), b.stride);
+    char* s = static_cast<char*>(b.state.data()) + rows_ * b.stride;
+    // Groups arrive one to a few at a time (HashAggr, OrdAggr), so the
+    // common strides copy with fixed-size stores, not a memcpy call per row.
+    switch (b.stride) {
+      case 4: FillRows<4>(s, n - rows_, b.init.data()); break;
+      case 8: FillRows<8>(s, n - rows_, b.init.data()); break;
+      default:
+        for (size_t r = 0; r < n - rows_; r++) {
+          std::memcpy(s + r * b.stride, b.init.data(), b.stride);
+        }
     }
   }
   rows_ = n;
