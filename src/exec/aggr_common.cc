@@ -86,6 +86,7 @@ struct AggrState::Block {
   PrimitiveStats* stats = nullptr;
   size_t bytes_per_tuple = 0;      // input widths plus the group id
   std::vector<AggrRowSlot> slots;  // row pass only (more than one member)
+  std::vector<const void*> cols;   // row pass: the slots' input columns
   AggrRowLayout layout;
 };
 
@@ -190,10 +191,11 @@ AggrState::AggrState(ExecContext* ctx, const Schema& child,
     } else {
       b.prim = PrimitiveRegistry::Get().FindAggr(name);
       for (size_t m : b.members) {
-        b.slots.push_back(
-            {kinds[m], static_cast<uint32_t>(aggrs_[m].offset), nullptr});
+        b.slots.push_back({kinds[m], static_cast<uint32_t>(aggrs_[m].offset)});
       }
+      b.cols.resize(b.slots.size());
       b.layout.slots = b.slots.data();
+      b.layout.cols = b.cols.data();
       b.layout.k = static_cast<int>(b.slots.size());
       b.layout.stride = b.stride;
     }
@@ -227,25 +229,6 @@ void AggrState::Grow(size_t n) {
   rows_ = n;
 }
 
-void AggrState::AllocateDomain(size_t n) {
-  for (Block& b : blocks_) b.state.Resize(n * b.stride);
-  rows_ = n;
-}
-
-void AggrState::InitRow(uint32_t group) {
-  for (Block& b : blocks_) {
-    std::memcpy(static_cast<char*>(b.state.data()) + group * b.stride,
-                b.init.data(), b.stride);
-  }
-}
-
-bool AggrState::FoldSeen(uint8_t* seen) {
-  if (blocks_.size() != 1 || blocks_[0].slots.empty()) return false;
-  blocks_[0].layout.seen = seen;
-  blocks_[0].layout.init = blocks_[0].init.data();
-  return true;
-}
-
 void AggrState::Update(VectorBatch* batch, const uint32_t* groups) {
   if (inputs_) inputs_->Eval(batch);
   auto input = [&](const Aggr& a) -> const void* {
@@ -262,7 +245,7 @@ void AggrState::Update(VectorBatch* batch, const uint32_t* groups) {
       col = input(aggrs_[b.members[0]]);
     } else {
       for (size_t s = 0; s < b.slots.size(); s++) {
-        b.slots[s].col = input(aggrs_[b.members[s]]);
+        b.cols[s] = input(aggrs_[b.members[s]]);
       }
       col = &b.layout;
     }

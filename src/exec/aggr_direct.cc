@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstring>
 
 #include "exec/aggr_internal.h"
 
@@ -7,34 +6,56 @@ namespace x100 {
 
 using aggr_internal::AggrState;
 
-// Direct aggregation (§4.1.2): group columns with small domains index the
-// accumulator rows directly — no hash table at all. For Q1 this is
-// map_directgrp over (l_returnflag, l_linestatus), exactly the Table 5
-// trace. A key's domain is its dictionary when it carries enum codes, and
-// every bit pattern of its width otherwise; the id of two keys is
-// hi * |lo domain| + lo, so id order is key order, and group values are
-// reconstructed from the id when draining. Rows are initialized when a group
-// is first seen, so a sparse domain costs no fill.
+// Direct aggregation (§4.1.2): group columns with small bit-domains index the
+// groups directly — no hash table at all. For Q1 this is map_directgrp over
+// (l_returnflag, l_linestatus) into a 2^16 domain, exactly the Table 5 trace.
+// The operator loop (the DirectAggr row of Table 5) maps each id to a dense
+// accumulator row, numbered in first-seen order, so the accumulators take one
+// row per present group rather than one per domain value. Groups are drained
+// in id order, with values reconstructed from the id (the id *is* the
+// concatenated bit representation).
 struct DirectAggrOp::Impl {
   std::unique_ptr<AggrState> aggrs;
 
   std::vector<int> key_cols;
   std::vector<size_t> key_widths;
-  uint32_t lo_card = 1;  // domain size of the second key (args[2])
   const MapPrimitive* grp_prim = nullptr;
   PrimitiveStats* grp_stats = nullptr;
   size_t grp_bytes_per_tuple = 0;
 
-  size_t domain = 0;
-  std::vector<uint8_t> seen;
-  bool rows_mark_seen = false;  // the aggregate row pass marks `seen`
+  std::vector<uint32_t> row_of;  // per id: its row + 1, 0 while unseen
+  std::vector<uint32_t> ids;     // per row: its id
   std::unique_ptr<uint32_t[]> groups;
 
   bool built = false;
-  std::vector<uint32_t> present;  // occupied group ids, ascending
+  std::vector<uint32_t> order;  // rows in ascending id order
   size_t emit_pos = 0;
   VectorBatch out;
 };
+
+namespace {
+
+// Replaces the id at each live position of `groups` with its row, giving new
+// ids the next row (`row_of[id]` holds row + 1, 0 while unseen).
+void ToRows(int n, const int* sel, uint32_t* __restrict__ groups,
+            uint32_t* __restrict__ row_of, std::vector<uint32_t>* ids) {
+  auto to_row = [&](int i) __attribute__((always_inline)) {
+    uint32_t id = groups[i];
+    uint32_t r = row_of[id];
+    if (__builtin_expect(r == 0, 0)) {
+      ids->push_back(id);
+      r = row_of[id] = static_cast<uint32_t>(ids->size());
+    }
+    groups[i] = r - 1;
+  };
+  if (sel) {
+    for (int j = 0; j < n; j++) to_row(sel[j]);
+  } else {
+    for (int i = 0; i < n; i++) to_row(i);
+  }
+}
+
+}  // namespace
 
 DirectAggrOp::DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
                            std::vector<std::string> group_by,
@@ -63,21 +84,13 @@ void DirectAggrOp::Open() {
   const Schema& cs = child_->schema();
   std::string name = "map_directgrp";
   im.grp_bytes_per_tuple = sizeof(uint32_t);
-  im.domain = 1;
   for (int ci : im.key_cols) {
-    const Field& f = cs.field(ci);
-    size_t w = TypeWidth(f.type);
-    X100_CHECK(w <= 2);
-    X100_CHECK(im.key_cols.size() == 1 || w == 1);
-    // Dictionary bases and sizes are resolved by the child's Open.
-    uint32_t card = f.dict.valid() && f.dict.base != nullptr
-                        ? static_cast<uint32_t>(std::max(f.dict.size, 1))
-                        : 1u << (8 * w);
-    im.key_widths.push_back(w);
-    im.lo_card = card;
-    im.domain *= card;
-    name += std::string("_") + TypeName(f.type) + "_col";
-    im.grp_bytes_per_tuple += w;
+    TypeId t = cs.field(ci).type;
+    X100_CHECK(TypeWidth(t) <= 2);
+    X100_CHECK(im.key_cols.size() == 1 || TypeWidth(t) == 1);
+    im.key_widths.push_back(TypeWidth(t));
+    name += std::string("_") + TypeName(t) + "_col";
+    im.grp_bytes_per_tuple += TypeWidth(t);
   }
   im.grp_prim = PrimitiveRegistry::Get().FindMap(name);
   if (im.grp_prim == nullptr) {
@@ -86,58 +99,51 @@ void DirectAggrOp::Open() {
   }
   im.grp_stats = ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
 
-  im.seen.assign(im.domain, 0);
+  size_t domain = im.key_cols.size() == 2
+                      ? 1u << 16
+                      : (im.key_widths[0] == 1 ? 1u << 8 : 1u << 16);
+  im.row_of.assign(domain, 0);
   im.groups = std::make_unique<uint32_t[]>(ctx_->vector_size);
-  im.aggrs->AllocateDomain(im.domain);
-  im.rows_mark_seen = im.aggrs->FoldSeen(im.seen.data());
 }
 
 void DirectAggrOp::Build() {
   Impl& im = *impl_;
-  PrimitiveStats* op_stats = ctx_->profiler && !im.rows_mark_seen
-                                 ? ctx_->profiler->GetStats("DirectAggr")
-                                 : nullptr;
+  PrimitiveStats* op_stats =
+      ctx_->profiler ? ctx_->profiler->GetStats("DirectAggr") : nullptr;
+  uint32_t* groups = im.groups.get();
   while (VectorBatch* batch = child_->Next()) {
     int n = batch->sel_count();
     const int* sel = batch->sel();
 
-    const void* args[3];
+    const void* args[2];
     for (size_t c = 0; c < im.key_cols.size(); c++) {
       args[c] = batch->column(im.key_cols[c]).data();
     }
-    args[2] = &im.lo_card;
     if (im.grp_stats) {
       ScopedCycles cyc(im.grp_stats);
-      im.grp_prim->fn(n, im.groups.get(), args, sel);
+      im.grp_prim->fn(n, groups, args, sel);
       im.grp_stats->calls++;
       im.grp_stats->tuples += static_cast<uint64_t>(n);
       im.grp_stats->bytes += static_cast<uint64_t>(n) * im.grp_bytes_per_tuple;
     } else {
-      im.grp_prim->fn(n, im.groups.get(), args, sel);
+      im.grp_prim->fn(n, groups, args, sel);
     }
 
-    if (!im.rows_mark_seen) {
-      // Operator loop (the DirectAggr row of Table 5): mark the groups,
-      // initializing each row on first sight.
-      uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
-      for (int j = 0; j < n; j++) {
-        uint32_t g = im.groups[sel ? sel[j] : j];
-        if (!im.seen[g]) {
-          im.seen[g] = 1;
-          im.aggrs->InitRow(g);
-        }
-      }
-      if (op_stats) {
-        op_stats->calls++;
-        op_stats->tuples += static_cast<uint64_t>(n);
-        op_stats->cycles += ReadCycleCounter() - t0;
-      }
+    uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
+    ToRows(n, sel, groups, im.row_of.data(), &im.ids);
+    im.aggrs->Grow(im.ids.size());
+    if (op_stats) {
+      op_stats->calls++;
+      op_stats->tuples += static_cast<uint64_t>(n);
+      op_stats->cycles += ReadCycleCounter() - t0;
     }
-    im.aggrs->Update(batch, im.groups.get());
+
+    im.aggrs->Update(batch, groups);
   }
-  for (uint32_t g = 0; g < im.domain; g++) {
-    if (im.seen[g]) im.present.push_back(g);
-  }
+  im.order.resize(im.ids.size());
+  for (uint32_t r = 0; r < im.order.size(); r++) im.order[r] = r;
+  std::sort(im.order.begin(), im.order.end(),
+            [&](uint32_t x, uint32_t y) { return im.ids[x] < im.ids[y]; });
   im.built = true;
   im.out = VectorBatch(schema_, ctx_->vector_size);
 }
@@ -145,27 +151,28 @@ void DirectAggrOp::Build() {
 VectorBatch* DirectAggrOp::Next() {
   Impl& im = *impl_;
   if (!im.built) Build();
-  if (im.emit_pos >= im.present.size()) return nullptr;
+  if (im.emit_pos >= im.order.size()) return nullptr;
 
   int n = static_cast<int>(std::min<size_t>(
-      ctx_->vector_size, im.present.size() - im.emit_pos));
-  const uint32_t* ids = im.present.data() + im.emit_pos;
+      ctx_->vector_size, im.order.size() - im.emit_pos));
+  const uint32_t* rows = im.order.data() + im.emit_pos;
   for (int r = 0; r < n; r++) {
-    // Reconstruct group-key values from the id.
+    uint32_t gid = im.ids[rows[r]];
+    // Reconstruct group-key values from the id's bit layout.
     if (im.key_cols.size() == 2) {
       static_cast<uint8_t*>(im.out.column(0).data())[r] =
-          static_cast<uint8_t>(ids[r] / im.lo_card);
+          static_cast<uint8_t>(gid >> 8);
       static_cast<uint8_t*>(im.out.column(1).data())[r] =
-          static_cast<uint8_t>(ids[r] % im.lo_card);
+          static_cast<uint8_t>(gid & 0xFF);
     } else if (im.key_widths[0] == 1) {
       static_cast<uint8_t*>(im.out.column(0).data())[r] =
-          static_cast<uint8_t>(ids[r]);
+          static_cast<uint8_t>(gid);
     } else {
       static_cast<uint16_t*>(im.out.column(0).data())[r] =
-          static_cast<uint16_t>(ids[r]);
+          static_cast<uint16_t>(gid);
     }
   }
-  im.aggrs->EmitIds(ids, n, &im.out, static_cast<int>(im.key_cols.size()));
+  im.aggrs->EmitIds(rows, n, &im.out, static_cast<int>(im.key_cols.size()));
   im.out.set_count(n);
   im.out.ClearSel();
   im.emit_pos += static_cast<size_t>(n);

@@ -41,18 +41,6 @@ class AggrState {
   /// Appends initialized rows up to `n` groups.
   void Grow(size_t n);
 
-  /// Sizes the blocks for a fixed domain of `n` groups without initializing
-  /// them. Every row must be initialized before its first update: the row
-  /// pass does that itself when FoldSeen() returned true, otherwise the
-  /// caller calls InitRow() when it first marks a group.
-  void AllocateDomain(size_t n);
-  void InitRow(uint32_t group);
-
-  /// For a domain sized by AllocateDomain: lets the row pass mark `seen[g]`
-  /// and initialize row g on first use. Returns false (and changes nothing)
-  /// when there is no row pass, in which case the caller marks.
-  bool FoldSeen(uint8_t* seen);
-
   /// Evaluates the inputs over `batch` and updates every aggregate for its
   /// live positions. `groups` holds a group id per position (null for
   /// scalar aggregation).

@@ -1,8 +1,5 @@
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
-#include <utility>
 
 #include "primitives/kernels.h"
 #include "primitives/primitive.h"
@@ -34,14 +31,16 @@ void AggrCount(int n, void* agg, const uint32_t* groups, const void* col,
 
 // ---- aggr_rows ---------------------------------------------------------------
 //
-// The row is updated in passes over the vector, one per run of up to
-// kMaxRun adjacent slots of one kind (the binder sorts slots by kind, so a
-// row usually has one run per kind). Within a pass the C updates of a tuple
-// are unrolled, so their C store-to-load chains overlap, and the first count
-// slot rides along with the first pass. Every pass visits the tuples in
-// input order, so each slot sees its inputs in input order.
+// The row is updated in passes over the vector, one per run of up to kMaxRun
+// adjacent slots of one kind (the binder sorts slots by kind, so a row
+// usually has one run per kind). Within a pass the updates of a tuple's slots
+// are independent, so their store-to-load chains overlap, and the first count
+// slot rides along with the first pass. Every pass visits the tuples in input
+// order, so each slot sees its inputs in input order. One body per kind (and
+// riding count) serves every run length: a fall-through switch on the length
+// unrolls the slots of a tuple (see DESIGN.md, "Aggregation").
 
-constexpr int kMaxRun = 8;
+constexpr int kMaxRun = 8;  // the switch's cases; longer runs are split
 
 struct CountOp {};
 
@@ -51,41 +50,43 @@ struct RowPassArgs {
   const uint32_t* groups;
   char* base;
   size_t stride;
-  const void* cols[kMaxRun];
-  uint32_t off;        // byte offset of the run's first slot
-  uint32_t count_off;  // the riding count slot (kCount passes only)
-  uint8_t* seen;       // first pass only: initialize rows on first use
-  const void* init;
+  const void* const* cols;  // the run's input columns
+  int c;                    // slots in the run
+  uint32_t off;             // byte offset of the run's first slot
+  uint32_t count_off;       // the riding count slot (kCount passes only)
 };
 
-template <typename S, typename A, typename Op, int C, bool kCount>
+template <typename S, typename A, typename Op, bool kCount>
 void RowPass(const RowPassArgs& a) {
   // Locals: the accumulator stores may alias anything reached through `a`.
   const int n = a.n;
+  const int c = a.c;
   const int* const sel = a.sel;
   const uint32_t* const groups = a.groups;
+  const A* in[kMaxRun];
+  for (int x = 0; x < c; x++) in[x] = static_cast<const A*>(a.cols[x]);
   const size_t stride = a.stride;
   char* const run = a.base + a.off;
   char* const count = a.base + a.count_off;
-  uint8_t* const seen = a.seen;
-  const A* in[C];
-#pragma GCC unroll 8
-  for (int c = 0; c < C; c++) in[c] = static_cast<const A*>(a.cols[c]);
   auto update = [&](int i) __attribute__((always_inline)) {
-    size_t g = groups[i];
-    size_t row = g * stride;
-    if (seen != nullptr && !seen[g]) {
-      std::memcpy(a.base + row, a.init, stride);
-      seen[g] = 1;
-    }
+    size_t row = groups[i] * stride;
     S* acc = reinterpret_cast<S*>(run + row);
-#pragma GCC unroll 8
-    for (int c = 0; c < C; c++) {
+    auto slot = [&](int x) __attribute__((always_inline)) {
       if constexpr (std::is_same_v<Op, CountOp>) {
-        ++acc[c];
+        ++acc[x];
       } else {
-        Op::Update(&acc[c], in[c][i]);
+        Op::Update(&acc[x], in[x][i]);
       }
+    };
+    switch (c) {
+      case 8: slot(7); [[fallthrough]];
+      case 7: slot(6); [[fallthrough]];
+      case 6: slot(5); [[fallthrough]];
+      case 5: slot(4); [[fallthrough]];
+      case 4: slot(3); [[fallthrough]];
+      case 3: slot(2); [[fallthrough]];
+      case 2: slot(1); [[fallthrough]];
+      default: slot(0);
     }
     if constexpr (kCount) ++*reinterpret_cast<int64_t*>(count + row);
   };
@@ -98,33 +99,23 @@ void RowPass(const RowPassArgs& a) {
 
 using RowPassFn = void (*)(const RowPassArgs&);
 
-template <typename S, typename A, typename Op, bool kCount, size_t... C>
-constexpr std::array<RowPassFn, kMaxRun> RowPassTable(
-    std::index_sequence<C...>) {
-  return {&RowPass<S, A, Op, static_cast<int>(C) + 1, kCount>...};
-}
-
 template <typename S, typename A, typename Op>
-RowPassFn PickRowPass(int c, bool count) {
-  static constexpr auto kPlain = RowPassTable<S, A, Op, false>(
-      std::make_index_sequence<kMaxRun>());
-  static constexpr auto kCounted = RowPassTable<S, A, Op, true>(
-      std::make_index_sequence<kMaxRun>());
-  return (count ? kCounted : kPlain)[c - 1];
+RowPassFn PickRowPass(bool count) {
+  return count ? &RowPass<S, A, Op, true> : &RowPass<S, A, Op, false>;
 }
 
-RowPassFn FindRowPass(AggrSlotKind kind, int c, bool count) {
+RowPassFn FindRowPass(AggrSlotKind kind, bool count) {
   switch (kind) {
-    case AggrSlotKind::kCount: return PickRowPass<int64_t, int64_t, CountOp>(c, count);
-    case AggrSlotKind::kSumI32: return PickRowPass<int64_t, int32_t, SumOp>(c, count);
-    case AggrSlotKind::kSumI64: return PickRowPass<int64_t, int64_t, SumOp>(c, count);
-    case AggrSlotKind::kSumF64: return PickRowPass<double, double, SumOp>(c, count);
-    case AggrSlotKind::kMinI32: return PickRowPass<int32_t, int32_t, MinOp>(c, count);
-    case AggrSlotKind::kMinI64: return PickRowPass<int64_t, int64_t, MinOp>(c, count);
-    case AggrSlotKind::kMinF64: return PickRowPass<double, double, MinOp>(c, count);
-    case AggrSlotKind::kMaxI32: return PickRowPass<int32_t, int32_t, MaxOp>(c, count);
-    case AggrSlotKind::kMaxI64: return PickRowPass<int64_t, int64_t, MaxOp>(c, count);
-    case AggrSlotKind::kMaxF64: return PickRowPass<double, double, MaxOp>(c, count);
+    case AggrSlotKind::kCount: return PickRowPass<int64_t, int64_t, CountOp>(count);
+    case AggrSlotKind::kSumI32: return PickRowPass<int64_t, int32_t, SumOp>(count);
+    case AggrSlotKind::kSumI64: return PickRowPass<int64_t, int64_t, SumOp>(count);
+    case AggrSlotKind::kSumF64: return PickRowPass<double, double, SumOp>(count);
+    case AggrSlotKind::kMinI32: return PickRowPass<int32_t, int32_t, MinOp>(count);
+    case AggrSlotKind::kMinI64: return PickRowPass<int64_t, int64_t, MinOp>(count);
+    case AggrSlotKind::kMinF64: return PickRowPass<double, double, MinOp>(count);
+    case AggrSlotKind::kMaxI32: return PickRowPass<int32_t, int32_t, MaxOp>(count);
+    case AggrSlotKind::kMaxI64: return PickRowPass<int64_t, int64_t, MaxOp>(count);
+    case AggrSlotKind::kMaxF64: return PickRowPass<double, double, MaxOp>(count);
   }
   return nullptr;
 }
@@ -144,8 +135,6 @@ void AggrRows(int n, void* agg, const uint32_t* groups, const void* col,
   a.groups = groups;
   a.base = static_cast<char*>(agg);
   a.stride = l.stride;
-  a.seen = l.seen;
-  a.init = l.init;
   int rider = -1;  // the count slot that rides along with the first pass
   for (int j = 0; j < l.k && rider < 0; j++) {
     if (s[j].kind == AggrSlotKind::kCount) rider = j;
@@ -165,13 +154,13 @@ void AggrRows(int n, void* agg, const uint32_t* groups, const void* col,
            s[j + c].offset == s[j].offset + static_cast<uint32_t>(c) * w) {
       c++;
     }
-    for (int x = 0; x < c; x++) a.cols[x] = s[j + x].col;
+    a.cols = l.cols + j;
+    a.c = c;
     a.off = s[j].offset;
     bool count = rider >= 0 && first;
     if (count) a.count_off = s[rider].offset;
-    FindRowPass(s[j].kind, c, count)(a);
+    FindRowPass(s[j].kind, count)(a);
     first = false;
-    a.seen = nullptr;
     j += c;
   }
 }

@@ -118,25 +118,22 @@ void MapRehashStr(int n, void* res, const void* const* args, const int* sel) {
   }
 }
 
-// Group index from two single-byte columns: g = hi * card + lo (the
-// hard-coded Q1 trick of §3.3, and the map_directgrp of Table 5). `card`, the
-// low key's domain size, is a bind-time u32 constant in args[2]: 256 for
-// plain bytes (g = hi<<8 | lo), the dictionary size for enum codes.
+// Group index from two single-byte columns: g = hi<<8 | lo (the hard-coded
+// Q1 trick of §3.3, and the map_directgrp of Table 5).
 template <typename A, typename B>
 void MapDirectGrp2(int n, void* res, const void* const* args, const int* sel) {
   uint32_t* __restrict__ r = static_cast<uint32_t*>(res);
   const A* __restrict__ a = static_cast<const A*>(args[0]);
   const B* __restrict__ b = static_cast<const B*>(args[1]);
-  const uint32_t card = *static_cast<const uint32_t*>(args[2]);
   if (sel) {
     for (int j = 0; j < n; j++) {
       int i = sel[j];
-      r[i] = static_cast<uint32_t>(static_cast<uint8_t>(a[i])) * card +
+      r[i] = (static_cast<uint32_t>(static_cast<uint8_t>(a[i])) << 8) |
              static_cast<uint32_t>(static_cast<uint8_t>(b[i]));
     }
   } else {
     for (int i = 0; i < n; i++) {
-      r[i] = static_cast<uint32_t>(static_cast<uint8_t>(a[i])) * card +
+      r[i] = (static_cast<uint32_t>(static_cast<uint8_t>(a[i])) << 8) |
              static_cast<uint32_t>(static_cast<uint8_t>(b[i]));
     }
   }
@@ -204,9 +201,9 @@ void RegisterFetchHash(PrimitiveRegistry* r) {
   r->RegisterMap("map_rehash_f64_col", TypeId::kI64, 2, &MapRehashF64);
   r->RegisterMap("map_rehash_str_col", TypeId::kI64, 2, &MapRehashStr);
 
-  r->RegisterMap("map_directgrp_i8_col_i8_col", TypeId::kI32, 3,
+  r->RegisterMap("map_directgrp_i8_col_i8_col", TypeId::kI32, 2,
                  &MapDirectGrp2<int8_t, int8_t>);
-  r->RegisterMap("map_directgrp_u8_col_u8_col", TypeId::kI32, 3,
+  r->RegisterMap("map_directgrp_u8_col_u8_col", TypeId::kI32, 2,
                  &MapDirectGrp2<uint8_t, uint8_t>);
   r->RegisterMap("map_directgrp_i8_col", TypeId::kI32, 1, &MapDirectGrp1<int8_t>);
   r->RegisterMap("map_directgrp_u8_col", TypeId::kI32, 1, &MapDirectGrp1<uint8_t>);

@@ -75,8 +75,7 @@ enum class AggrSlotKind : uint8_t {
 
 struct AggrRowSlot {
   AggrSlotKind kind;
-  uint32_t offset;   // byte offset of the accumulator within a group's row
-  const void* col;   // input column of the current vector (unused by kCount)
+  uint32_t offset;  // byte offset of the accumulator within a group's row
 };
 
 /// Argument of the aggr_rows primitive, passed as its AggrFn `col`. The
@@ -84,15 +83,13 @@ struct AggrRowSlot {
 /// (NSM), and for each live position i the primitive updates all `k` slots
 /// of row groups[i] before moving on, so the k update chains of a group
 /// overlap instead of each waiting on its own previous store. Per slot,
-/// updates still happen in input order. When `seen` is set, a row whose
-/// `seen` byte is zero is first copied from `init` (one initialized row) and
-/// the byte is set, so rows of a sparse domain are initialized on first use.
+/// updates still happen in input order. `cols[j]` is slot j's input column
+/// of the current vector (unused for kCount).
 struct AggrRowLayout {
   const AggrRowSlot* slots = nullptr;
+  const void* const* cols = nullptr;
   int k = 0;
   size_t stride = 0;
-  uint8_t* seen = nullptr;
-  const void* init = nullptr;
 };
 
 /// Name → primitive tables, built once. The exec-layer binder composes names

@@ -325,12 +325,12 @@ std::unique_ptr<Table> MakeAggrInput(uint64_t seed) {
 
 /// The ten aggregates the engine binds (sum/min/max over i32, i64 and f64,
 /// and count). AggrMix(k, first) takes k of them cyclically from `first`;
-/// with `paired` each one twice in a row, so the row holds runs of two
-/// slots of one kind.
-std::vector<AggrSpec> AggrMix(int k, int first, bool paired = false) {
+/// each one `run` times in a row, so the row holds runs of `run` slots of
+/// one kind.
+std::vector<AggrSpec> AggrMix(int k, int first, int run = 1) {
   std::vector<AggrSpec> a;
   for (int j = 0; j < k; j++) {
-    int x = (first + (paired ? j / 2 : j)) % 10;
+    int x = (first + j / run) % 10;
     const char* col = x < 3 ? "vi32" : x < 6 ? "vi64" : "vf64";
     std::string name = "a" + std::to_string(j);
     switch (x % 3) {
@@ -473,10 +473,10 @@ enum class AggrKind { kHash, kDirect, kOrd };
 void ExpectAggrMatchesReference(const Table& t, AggrKind kind,
                                 const std::vector<std::string>& keys, int k,
                                 int first, int vector_size, bool filtered,
-                                bool fuse, bool paired = false) {
+                                bool fuse, int run = 1) {
   SCOPED_TRACE("op " + std::to_string(static_cast<int>(kind)) + " key " +
                keys[0] + " k " + std::to_string(k) + " first " +
-               std::to_string(first) + (paired ? " paired" : "") + " vs " +
+               std::to_string(first) + " run " + std::to_string(run) + " vs " +
                std::to_string(vector_size) + (filtered ? " +select" : "") +
                (fuse ? " fused" : ""));
   Profiler prof;
@@ -488,7 +488,7 @@ void ExpectAggrMatchesReference(const Table& t, AggrKind kind,
   for (const char* c : {"f", "vi32", "vi64", "vf64"}) cols.push_back(c);
   OpPtr op = plan::Scan(&ctx, t, cols);
   if (filtered) op = plan::Select(&ctx, std::move(op), Lt(Col("f"), LitI32(70)));
-  std::vector<AggrSpec> specs = AggrMix(k, first, paired);
+  std::vector<AggrSpec> specs = AggrMix(k, first, run);
   switch (kind) {
     case AggrKind::kHash:
       op = plan::HashAggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs));
@@ -519,7 +519,8 @@ TEST(AggrOpTest, HashDirectOrderedAgree) {
   // (distinct kinds, and kinds in pairs), with and without a selection
   // vector, at vector sizes 1, 7 and 1024, with the row pass (fusion on) and
   // per-aggregate updates (off): all three physical aggregations (§4.1.2)
-  // match the reference bit for bit.
+  // match the reference bit for bit. Then runs of 3 to 9 slots of one kind
+  // (aggr_rows splits runs longer than 8), counts included.
   std::unique_ptr<Table> t = MakeAggrInput(3);
   const std::vector<std::pair<AggrKind, std::vector<std::string>>> cases = {
       {AggrKind::kHash, {"g8"}},          {AggrKind::kHash, {"d3", "g8b"}},
@@ -534,18 +535,27 @@ TEST(AggrOpTest, HashDirectOrderedAgree) {
             ExpectAggrMatchesReference(*t, kind, keys, k, 3 * k, vs, filtered,
                                        fuse);
             ExpectAggrMatchesReference(*t, kind, keys, k, 2 * k, vs, filtered,
-                                       fuse, /*paired=*/true);
+                                       fuse, /*run=*/2);
           }
+        }
+      }
+    }
+    for (int run : {3, 5, 8, 9}) {
+      for (int first : {0, 8, 9}) {
+        for (bool fuse : {false, true}) {
+          ExpectAggrMatchesReference(*t, kind, keys, run + 1, first, 1024,
+                                     run % 2 == 1, fuse, run);
         }
       }
     }
   }
 }
 
-TEST(AggrOpTest, DirectAggrDomainFromDictionaries) {
-  // DirectAggr sizes its domain from the key dictionaries (sizes 1, 3 and
-  // 256, alone and as a pair) and from the bit width of a plain i8 key
-  // (negative values included); all agree with the reference.
+TEST(AggrOpTest, DirectAggrDictionaryAndByteKeys) {
+  // DirectAggr over dictionary-coded keys (dictionaries of 1, 3 and 256
+  // entries, alone and as a pair) and over a plain i8 key (negative values
+  // included, which must stay inside the 256-id domain); all agree with the
+  // reference.
   std::unique_ptr<Table> t = MakeAggrInput(5);
   const std::vector<std::vector<std::string>> key_sets = {
       {"d1"}, {"d3"}, {"d256"}, {"d3", "d1"}, {"g8"}};
@@ -555,7 +565,7 @@ TEST(AggrOpTest, DirectAggrDomainFromDictionaries) {
         ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 7, 3, vs, true,
                                    fuse);
         ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 6, 5, vs,
-                                   false, fuse, /*paired=*/true);
+                                   false, fuse, /*run=*/2);
         ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 1, 9, vs,
                                    false, fuse);
       }
