@@ -78,11 +78,11 @@ class HashAggrOp : public Operator {
   std::unique_ptr<Impl> impl_;
 };
 
-/// DirectAggr: aggregation into a direct-mapped array when the (at most two
-/// single-byte / one two-byte) group columns span a small domain — the
-/// hard-coded Q1 trick of §3.3 made a physical operator. A key's domain is
-/// its dictionary when it carries enum codes, else its bit width. Group ids
-/// come from the map_directgrp primitives, and id order is key order.
+/// DirectAggr: aggregation without a hash table when the combined
+/// bit-representation of the (at most two single-byte / one two-byte) group
+/// columns is a small domain — the hard-coded Q1 trick of §3.3 made a
+/// physical operator. Group ids come from the map_directgrp primitives; a
+/// direct-mapped table turns them into dense accumulator rows.
 class DirectAggrOp : public Operator {
  public:
   DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,

@@ -20,10 +20,12 @@ namespace x100::aggr_internal {
 /// its aggregates side by side (NSM). Which aggregates share a block is fixed
 /// at bind time by ExecContext::fuse_compound_primitives: with fusion on, all
 /// aggregates of a grouped operator share one block, updated by aggr_rows in
-/// one pass per tuple. Otherwise, and always for scalar aggregation and for a
-/// single aggregate, each aggregate has a block of its own (a column) updated
-/// by its typed aggr_* primitive. Per group and aggregate, updates happen in
-/// input order in both layouts, so results are bit-identical.
+/// one pass per tuple, when some pass updates two slots (two aggregates of
+/// one kind, or a count riding along). Otherwise, and always for scalar
+/// aggregation and for a single aggregate, each aggregate has a block of its
+/// own (a column) updated by its typed aggr_* primitive. Per group and
+/// aggregate, updates happen in input order in both layouts, so results are
+/// bit-identical.
 class AggrState {
  public:
   /// Binds the widened aggregate inputs against `child` and lays out the
