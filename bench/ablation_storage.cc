@@ -29,7 +29,7 @@ std::vector<AggrSpec> AG(Ts&&... ts) {
 
 double SumColumn(ExecContext* ctx, const Table& t, const char* col) {
   auto op = plan::Scan(ctx, t, {col});
-  op = plan::HashAggr(ctx, std::move(op), {}, AG(Sum("s", Col(col))));
+  op = plan::Aggr(ctx, std::move(op), {}, AG(Sum("s", Col(col))));
   return RunPlan(std::move(op), "s")->GetValue(0, 0).AsF64();
 }
 
@@ -84,8 +84,8 @@ int main() {
     op = plan::Select(&ctx, std::move(op),
                       Between(Col("l_shipdate"), Lit(Value::Date(lo)),
                               Lit(Value::Date(hi))));
-    op = plan::HashAggr(&ctx, std::move(op), {},
-                        AG(Sum("s", Col("l_extendedprice")), CountAll("n")));
+    op = plan::Aggr(&ctx, std::move(op), {},
+                    AG(Sum("s", Col("l_extendedprice")), CountAll("n")));
     return RunPlan(std::move(op), "r");
   };
   auto r1 = run(false);

@@ -14,7 +14,10 @@
 // exec-latency p50/p99, and fairness (p99/p50 — a FIFO admission controller
 // over a fair pool should keep this near 1). The serial baseline runs the
 // identical 16-session workload back to back on one thread; speedup_16 is
-// the machine-independent ratio the CI gate holds at >= ~2x.
+// the machine-independent ratio the CI gate holds at >= ~2x. Next to it,
+// host_thread_scaling_4 (not gated) times a CPU-only kernel serially and on
+// 4 threads: near 4 when the host grants four cores, near 1 when it grants
+// one, which no engine change can mend.
 //
 // Hard self-checks (exit 1): every concurrent result must be bit-identical
 // to the serial reference (sessions are width-1, so even FP summation order
@@ -29,6 +32,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -73,6 +77,42 @@ double Percentile(std::vector<double> v, double p) {
   std::sort(v.begin(), v.end());
   size_t i = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
   return v[i];
+}
+
+/// A CPU-only kernel (no memory traffic beyond registers): ~10 ms of
+/// integer mixing on one core.
+uint64_t SpinKernel() {
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int i = 0; i < 20000000; i++) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+/// The host's thread scaling: how many times the serial rate of SpinKernel
+/// `threads` threads reach together (ideal: `threads`). Median of five
+/// rounds of each. A host that gives the threads fewer cores than asked
+/// reads low here, whatever the engine does, so speedup_16 can be read
+/// against it.
+double HostThreadScaling(int threads) {
+  std::atomic<uint64_t> sink{0};
+  std::vector<double> serial, parallel;
+  for (int round = 0; round < 5; round++) {
+    uint64_t t0 = NowNanos();
+    sink += SpinKernel();
+    serial.push_back(static_cast<double>(NowNanos() - t0));
+    t0 = NowNanos();
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; t++) {
+      pool.emplace_back([&sink] { sink += SpinKernel(); });
+    }
+    for (std::thread& th : pool) th.join();
+    parallel.push_back(static_cast<double>(NowNanos() - t0));
+  }
+  double p = Percentile(parallel, 0.5);
+  return p > 0 ? threads * Percentile(serial, 0.5) / p : 0.0;
 }
 
 }  // namespace
@@ -187,11 +227,16 @@ int main() {
   uint64_t attached_blocks = attached->Get() - attached0;
   double speedup = serial_qps > 0 ? qps16 / serial_qps : 0.0;
   ex.AddScalar("speedup_16", speedup, "x");
+  // Not gated: tells a host short of cores from a serving regression when
+  // the speedup_16 gate fails.
+  double host_scaling = HostThreadScaling(4);
+  ex.AddScalar("host_thread_scaling_4", host_scaling, "x");
   ex.AddScalar("shared_attached_blocks",
                static_cast<double>(attached_blocks));
   std::printf("\n16-session speedup over serial: %.2fx; shared-scan attached "
-              "blocks: %llu\n",
-              speedup, static_cast<unsigned long long>(attached_blocks));
+              "blocks: %llu; host thread scaling (4 threads): %.2fx\n",
+              speedup, static_cast<unsigned long long>(attached_blocks),
+              host_scaling);
 
   ex.Write();
 

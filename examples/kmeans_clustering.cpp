@@ -3,8 +3,8 @@
 // efficiency. One k-means iteration is nothing but relational algebra:
 //
 //   assign:  CartProd(points, centroids) -> distance Project ->
-//            per-point min-distance (HashAggr) -> join back = assignment
-//   update:  HashAggr(points by cluster) -> mean Project = new centroids
+//            per-point min-distance (Aggr) -> join back = assignment
+//   update:  Aggr(points by cluster) -> mean Project = new centroids
 //
 // Every arithmetic step runs through the vectorized map primitives.
 //
@@ -51,8 +51,8 @@ std::unique_ptr<Table> Iterate(ExecContext* ctx, const Table& points,
   std::unique_ptr<Table> dist = RunPlan(std::move(pairs), "dist");
 
   // Nearest centroid per point: min distance, then join back on (pid, d).
-  auto best = plan::HashAggr(ctx, plan::Scan(ctx, *dist, {"pid", "d"}),
-                             {"pid"}, AG(Min("dmin", Col("d"))));
+  auto best = plan::Aggr(ctx, plan::Scan(ctx, *dist, {"pid", "d"}),
+                         {"pid"}, AG(Min("dmin", Col("d"))));
   auto assign =
       plan::Join(ctx, plan::Scan(ctx, *dist, {"pid", "cid", "x", "y", "d"}),
                  std::move(best),
@@ -60,13 +60,13 @@ std::unique_ptr<Table> Iterate(ExecContext* ctx, const Table& points,
                   .build_keys = {"pid", "dmin"},
                   .probe_out = {"pid", "cid", "x", "y", "d"}});
   // Ties (equidistant centroids) would duplicate a point; keep the first.
-  auto dedup = plan::HashAggr(ctx, std::move(assign), {"pid"},
-                              AG(Min("cid", Col("cid")), Min("x", Col("x")),
-                                 Min("y", Col("y")), Min("d", Col("d"))));
+  auto dedup = plan::Aggr(ctx, std::move(assign), {"pid"},
+                          AG(Min("cid", Col("cid")), Min("x", Col("x")),
+                             Min("y", Col("y")), Min("d", Col("d"))));
   std::unique_ptr<Table> assigned = RunPlan(std::move(dedup), "assigned");
 
   // New centroids = per-cluster means; inertia = sum of distances.
-  auto upd = plan::HashAggr(
+  auto upd = plan::Aggr(
       ctx, plan::Scan(ctx, *assigned, {"cid", "x", "y", "d"}), {"cid"},
       AG(Sum("sx", Col("x")), Sum("sy", Col("y")), CountAll("n"),
          Sum("inertia", Col("d"))));

@@ -31,7 +31,7 @@ double RunVariant(const Table& t, bool compound) {
   plan = plan::Project(&ctx, std::move(plan), std::move(exprs));
   std::vector<AggrSpec> aggrs;
   aggrs.push_back(Sum("total", Col("d")));
-  plan = plan::HashAggr(&ctx, std::move(plan), {}, std::move(aggrs));
+  plan = plan::Aggr(&ctx, std::move(plan), {}, std::move(aggrs));
 
   uint64_t t0 = NowNanos();
   std::unique_ptr<Table> r = RunPlan(std::move(plan), "dist");

@@ -48,7 +48,7 @@ int main() {
     std::vector<AggrSpec> aggrs;
     aggrs.push_back(Sum("total", Col("net")));
     aggrs.push_back(CountAll("n"));
-    plan = plan::HashAggr(&ctx, std::move(plan), {"city"}, std::move(aggrs));
+    plan = plan::Aggr(&ctx, std::move(plan), {"city"}, std::move(aggrs));
   }
   plan = plan::Order(&ctx, std::move(plan), {Asc("city")});
 

@@ -29,7 +29,7 @@ double TotalAmount(ExecContext* ctx, const Table& t, const char* lo,
   std::vector<AggrSpec> aggrs;
   aggrs.push_back(Sum("total", Col("amount")));
   aggrs.push_back(CountAll("n"));
-  plan = plan::HashAggr(ctx, std::move(plan), {}, std::move(aggrs));
+  plan = plan::Aggr(ctx, std::move(plan), {}, std::move(aggrs));
   std::unique_ptr<Table> r = RunPlan(std::move(plan), "total");
   std::printf("  [%s .. %s]  total=%.2f over %lld rows\n", lo, hi,
               r->GetValue(0, 0).AsF64(),

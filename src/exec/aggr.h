@@ -44,58 +44,37 @@ std::vector<AggrSpec> CloneAggrSpecs(const std::vector<AggrSpec>& specs);
 /// keep their op. Every merge input is the partial's output column.
 std::vector<AggrSpec> MergeAggrSpecs(const std::vector<AggrSpec>& specs);
 
-/// HashAggr: general grouped aggregation. Group keys are input columns
-/// (possibly undecoded enum codes — grouping on codes is both correct and
-/// cache-friendly; the dictionary travels on the output schema). Hashes are
-/// computed with the map_hash / map_rehash primitives; probe/insert is the
-/// operator loop. All three grouped operators update their aggregates through
-/// one shared step (aggr_internal::AggrState, DESIGN.md "Aggregation").
-class HashAggrOp : public Operator {
+/// Aggr: grouped aggregation, and scalar aggregation as its one-group case
+/// (§4.1.2). Group keys are input columns (possibly undecoded enum codes —
+/// grouping on codes is both correct and cache-friendly; the dictionary
+/// travels on the output schema). The operator differs from its siblings
+/// only in how it gives each live tuple a group id, and it picks that from
+/// the keys it sees:
+///   - direct: while every key is an integer, date or enum code and the
+///     product of the keys' observed spans stays within max(2^16, 8 x
+///     groups) slots, map_directgrp / map_redirectgrp compute a mixed-radix
+///     id and a per-id table turns it into a dense group row. A key outside
+///     the current spans re-bases the table from the stored group keys;
+///   - hash: past that bound (or for string and float keys) it switches
+///     once to a linear-probing hash table over map_hash / map_rehash,
+///     seeded with the groups found so far.
+/// Groups are numbered and emitted in first-seen order on both paths. All
+/// three grouped operators update their aggregates through one shared step
+/// (aggr_internal::AggrState, DESIGN.md "Aggregation").
+class GroupAggrOp : public Operator {
  public:
-  HashAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
-             std::vector<std::string> group_by, std::vector<AggrSpec> aggrs);
-  ~HashAggrOp() override;
+  GroupAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
+              std::vector<std::string> group_by, std::vector<AggrSpec> aggrs);
+  ~GroupAggrOp() override;
 
   const Schema& schema() const override { return schema_; }
   void Open() override;
   VectorBatch* Next() override;
   void Close() override;
 
-  /// EXPLAIN ANALYZE node that receives the table's ht.* counters at Close
-  /// (wired by the plan::HashAggr factory).
-  void set_trace_node(TraceNode* node) { trace_node_ = node; }
-
- private:
-  struct Impl;
-  void Build();
-
-  ExecContext* ctx_;
-  std::unique_ptr<Operator> child_;
-  std::vector<std::string> group_by_;
-  std::vector<AggrSpec> specs_;
-  Schema schema_;
-  TraceNode* trace_node_ = nullptr;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// DirectAggr: aggregation without a hash table when the combined
-/// bit-representation of the (at most two single-byte / one two-byte) group
-/// columns is a small domain — the hard-coded Q1 trick of §3.3 made a
-/// physical operator. Group ids come from the map_directgrp primitives; a
-/// direct-mapped table turns them into dense accumulator rows.
-class DirectAggrOp : public Operator {
- public:
-  DirectAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,
-               std::vector<std::string> group_by, std::vector<AggrSpec> aggrs);
-  ~DirectAggrOp() override;
-
-  const Schema& schema() const override { return schema_; }
-  void Open() override;
-  VectorBatch* Next() override;
-  void Close() override { child_->Close(); }
-
-  /// EXPLAIN ANALYZE hook (set by the plan factory): fused-chain steps in
-  /// the aggregate inputs attach their fused[...] trace nodes here.
+  /// EXPLAIN ANALYZE node (wired by the plan::Aggr factory): fused-chain
+  /// steps in the aggregate inputs attach their fused[...] nodes here, and
+  /// Close() adds the aggr.* path counters and the table's ht.* counters.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:
@@ -115,8 +94,8 @@ class DirectAggrOp : public Operator {
 /// the source Dataflow (§4.1.2); plans choose it through plan::ClusteredAggr,
 /// which proves that first. Streams groups out as they complete and retains
 /// at most 2 x vector_size of them. Output order (first encounter) and
-/// per-group accumulation order match HashAggr's, so on clustered input the
-/// two produce bit-identical results.
+/// per-group accumulation order match GroupAggrOp's, so on clustered input
+/// the two produce bit-identical results.
 class OrdAggrOp : public Operator {
  public:
   OrdAggrOp(ExecContext* ctx, std::unique_ptr<Operator> child,

@@ -48,14 +48,15 @@ void WriteInit(AggrOp op, void* dst) {
   std::memcpy(dst, &v, sizeof(v));
 }
 
-// Copies slot values of width sizeof(T) from rows `row(r)` of `base` into
-// the dense column `dst`.
-template <typename T, typename RowFn>
+// Copies slot values of width sizeof(T) from rows [0, n) of `base` into the
+// dense column `dst`.
+template <typename T>
 void GatherSlot(char* dst, const char* base, size_t stride, size_t offset,
-                int n, RowFn row) {
+                int n) {
   T* __restrict__ out = reinterpret_cast<T*>(dst);
   for (int r = 0; r < n; r++) {
-    std::memcpy(&out[r], base + row(r) * stride + offset, sizeof(T));
+    std::memcpy(&out[r], base + static_cast<size_t>(r) * stride + offset,
+                sizeof(T));
   }
 }
 
@@ -215,7 +216,7 @@ void AggrState::Grow(size_t n) {
   for (Block& b : blocks_) {
     b.state.Resize(n * b.stride);
     char* s = static_cast<char*>(b.state.data()) + rows_ * b.stride;
-    // Groups arrive one to a few at a time (HashAggr, OrdAggr), so the
+    // Groups arrive one to a few at a time (Aggr, OrdAggr), so the
     // common strides copy with fixed-size stores, not a memcpy call per row.
     switch (b.stride) {
       case 4: FillRows<4>(s, n - rows_, b.init.data()); break;
@@ -270,30 +271,12 @@ void AggrState::EmitRange(size_t first, int n, VectorBatch* out,
     char* dst = static_cast<char*>(
         out->column(first_col + static_cast<int>(i)).data());
     const char* src = static_cast<const char*>(b.state.data()) + first * b.stride;
-    auto row = [](int r) { return static_cast<size_t>(r); };
     if (b.stride == w) {
       std::memcpy(dst, src, static_cast<size_t>(n) * w);
     } else if (w == 8) {
-      GatherSlot<uint64_t>(dst, src, b.stride, a.offset, n, row);
+      GatherSlot<uint64_t>(dst, src, b.stride, a.offset, n);
     } else {
-      GatherSlot<uint32_t>(dst, src, b.stride, a.offset, n, row);
-    }
-  }
-}
-
-void AggrState::EmitIds(const uint32_t* ids, int n, VectorBatch* out,
-                        int first_col) const {
-  for (size_t i = 0; i < aggrs_.size(); i++) {
-    const Aggr& a = aggrs_[i];
-    const Block& b = blocks_[a.block];
-    char* dst = static_cast<char*>(
-        out->column(first_col + static_cast<int>(i)).data());
-    const char* src = static_cast<const char*>(b.state.data());
-    auto row = [ids](int r) { return static_cast<size_t>(ids[r]); };
-    if (TypeWidth(a.state_type) == 8) {
-      GatherSlot<uint64_t>(dst, src, b.stride, a.offset, n, row);
-    } else {
-      GatherSlot<uint32_t>(dst, src, b.stride, a.offset, n, row);
+      GatherSlot<uint32_t>(dst, src, b.stride, a.offset, n);
     }
   }
 }

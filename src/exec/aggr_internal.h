@@ -1,7 +1,7 @@
 #ifndef X100_EXEC_AGGR_INTERNAL_H_
 #define X100_EXEC_AGGR_INTERNAL_H_
 
-// Shared internals of the three aggregation operators. Include only from
+// Shared internals of the two aggregation operators. Include only from
 // exec/aggr_*.cc.
 
 #include <memory>
@@ -14,7 +14,7 @@
 namespace x100::aggr_internal {
 
 /// The accumulators of one aggregation operator (§4.1.2), and the one update
-/// step that DirectAggr, HashAggr and OrdAggr share.
+/// step that Aggr and OrdAggr share.
 ///
 /// Aggregates live in blocks. A block holds one row per group, the slots of
 /// its aggregates side by side (NSM). Which aggregates share a block is fixed
@@ -51,9 +51,6 @@ class AggrState {
   /// Writes the aggregates of groups [first, first + n) to output columns
   /// first_col, first_col + 1, ... of `out`.
   void EmitRange(size_t first, int n, VectorBatch* out, int first_col) const;
-  /// Same for the groups ids[0..n).
-  void EmitIds(const uint32_t* ids, int n, VectorBatch* out,
-               int first_col) const;
 
   /// Drops the rows of the first `n` groups; group ids shift down by n.
   void DropFront(size_t n);

@@ -63,7 +63,7 @@ using GatherFn = void (*)(int, const void*, const int*, void*);
 //   2. a prefix sum over the flags gives every live position its group slot;
 //   3. the new groups' keys are gathered in one pass per key column;
 //   4. the aggregates are updated over the whole vector by the step shared
-//      with HashAggr and DirectAggr.
+//      with Aggr.
 // Slot layout: [finished groups not yet emitted..., open group]. Emission
 // drops finished groups, so the operator retains at most 2 x vector_size
 // groups however many it produces.
@@ -184,7 +184,7 @@ void OrdAggrOp::Open() {
     const Field& f = cs.field(ci);
     size_t w = TypeWidth(f.type);
     im.key_widths.push_back(w);
-    // Keys compare by bit pattern (as HashAggr's memcmp does), except plain
+    // Keys compare by bit pattern (as Aggr's memcmp does), except plain
     // strings, which compare by content.
     if (f.type == TypeId::kStr && !f.dict.valid()) {
       im.mark_fns.push_back(&MarkBoundariesStr);

@@ -179,15 +179,14 @@ class ParserImpl {
       std::vector<std::string> groups = ParseIdentList();
       Expect(Token::Kind::kSymbol, ",");
       std::vector<AggrSpec> aggrs = ParseAggrList();
-      if (name == "DirectAggr") {
-        op = plan::DirectAggr(ctx_, std::move(child), std::move(groups),
-                              std::move(aggrs));
-      } else if (name == "OrdAggr") {
+      if (name == "OrdAggr") {
         op = plan::OrdAggr(ctx_, std::move(child), std::move(groups),
                            std::move(aggrs));
       } else {
-        op = plan::HashAggr(ctx_, std::move(child), std::move(groups),
-                            std::move(aggrs));
+        // HashAggr and DirectAggr (Figure 9's Q1) name the one Aggr, which
+        // picks direct ids or hashing from the keys it sees.
+        op = plan::Aggr(ctx_, std::move(child), std::move(groups),
+                        std::move(aggrs));
       }
     } else if (name == "TopN") {
       auto child = ParseOperator();

@@ -24,7 +24,8 @@ namespace x100 {
 ///
 /// Supported operators: Table(name[, col, ...]), Select(op, exp),
 /// Project(op, [name = exp | name, ...]),
-/// Aggr/HashAggr/DirectAggr/OrdAggr(op, [group cols], [name = agg(exp)]),
+/// Aggr/OrdAggr(op, [group cols], [name = agg(exp)]) (HashAggr and
+/// DirectAggr are accepted as names for Aggr),
 /// TopN(op, [col ASC|DESC, ...], n), Order(op, [col ASC|DESC, ...]),
 /// Fetch1Join(op, table, rowid_exp_col, [src AS dst, ...]).
 /// Expressions use the paper's prefix forms: <,<=,>,>=,==,!= and +,-,*,/

@@ -24,14 +24,11 @@ std::unique_ptr<Table> MaterializeToTable(Operator* root, std::string name) {
       const Field& f = batch->schema().field(c);
       Column* col = table->load_column(c);
       if (!f.dict.valid() && f.type != TypeId::kStr) {
-        const char* data = static_cast<const char*>(batch->column(c).data());
-        size_t w = TypeWidth(f.type);
+        const void* data = batch->column(c).data();
         if (sel == nullptr) {
           col->AppendRaw(data, n);
         } else {
-          for (int j = 0; j < n; j++) {
-            col->AppendRaw(data + static_cast<size_t>(sel[j]) * w, 1);
-          }
+          col->AppendGather(data, sel, n);
         }
       } else if (f.type == TypeId::kStr && !f.dict.valid()) {
         const char* const* ptrs =

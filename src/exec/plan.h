@@ -124,23 +124,17 @@ inline OpPtr Project(ExecContext* ctx, OpPtr child, std::vector<NamedExpr> e) {
   return Traced(ctx, std::move(op), "Project", "", {c});
 }
 
-inline OpPtr HashAggr(ExecContext* ctx, OpPtr child,
-                      std::vector<std::string> group_by,
-                      std::vector<AggrSpec> aggrs) {
+/// Grouped (or, with no group columns, scalar) aggregation: direct ids
+/// while the keys' spans are small, hashing past them (exec/aggr.h). The
+/// trace node's detail names the path taken.
+inline OpPtr Aggr(ExecContext* ctx, OpPtr child,
+                  std::vector<std::string> group_by,
+                  std::vector<AggrSpec> aggrs) {
   const Operator* c = child.get();
-  auto op = std::make_unique<HashAggrOp>(ctx, std::move(child),
-                                         std::move(group_by), std::move(aggrs));
-  return Traced(ctx, std::move(op), "HashAggr", "", {c});
-}
-
-inline OpPtr DirectAggr(ExecContext* ctx, OpPtr child,
-                        std::vector<std::string> group_by,
-                        std::vector<AggrSpec> aggrs) {
-  const Operator* c = child.get();
-  auto op = std::make_unique<DirectAggrOp>(ctx, std::move(child),
-                                           std::move(group_by),
-                                           std::move(aggrs));
-  return Traced(ctx, std::move(op), "DirectAggr", "", {c});
+  auto op = std::make_unique<GroupAggrOp>(ctx, std::move(child),
+                                          std::move(group_by),
+                                          std::move(aggrs));
+  return Traced(ctx, std::move(op), "Aggr", "", {c});
 }
 
 inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
@@ -156,7 +150,7 @@ inline OpPtr OrdAggr(ExecContext* ctx, OpPtr child,
 /// (`child` is a Scan of `source` under Select/Project only, and the single
 /// group column is `source`'s column of that name). Picks OrdAggr when
 /// ScanIsNonDecreasing proves the rows arrive clustered on the group column,
-/// and HashAggr over the same specs otherwise. Both emit groups in first
+/// and Aggr over the same specs otherwise. Both emit groups in first
 /// encounter order and accumulate each group in input order, so the result
 /// is bit-identical either way; only the cost differs. When tracing, the
 /// chosen node carries the check's cost as cluster_check.cycles.
@@ -169,8 +163,8 @@ inline OpPtr ClusteredAggr(ExecContext* ctx, OpPtr child, const Table& source,
   uint64_t check_cycles = ReadCycleCounter() - t0;
   OpPtr op = clustered ? OrdAggr(ctx, std::move(child), std::move(group_by),
                                  std::move(aggrs))
-                       : HashAggr(ctx, std::move(child), std::move(group_by),
-                                  std::move(aggrs));
+                       : Aggr(ctx, std::move(child), std::move(group_by),
+                              std::move(aggrs));
   if (ctx->trace != nullptr) {
     static_cast<InstrumentedOperator*>(op.get())->node()->AddCounter(
         "cluster_check.cycles", check_cycles);
@@ -255,7 +249,7 @@ using MorselPlanFn = std::function<OpPtr(ExecContext*, ScanSpec::Morsel)>;
 /// ends in a partial aggregation by `groups` with `aggrs`. At
 /// ctx->num_threads <= 1 the result is that pipeline over the whole table.
 /// Otherwise ctx->num_threads copies run under an Exchange, one morsel
-/// each, and a HashAggr over MergeAggrSpecs(aggrs) merges their partials.
+/// each, and an Aggr over MergeAggrSpecs(aggrs) merges their partials.
 inline OpPtr PartialAggr(ExecContext* ctx, std::vector<std::string> groups,
                          const std::vector<AggrSpec>& aggrs,
                          const MorselPlanFn& pipeline) {
@@ -264,8 +258,7 @@ inline OpPtr PartialAggr(ExecContext* ctx, std::vector<std::string> groups,
                       [&pipeline](ExecContext* wctx, int w, int n) {
                         return pipeline(wctx, {w, n});
                       });
-  return HashAggr(ctx, std::move(op), std::move(groups),
-                  MergeAggrSpecs(aggrs));
+  return Aggr(ctx, std::move(op), std::move(groups), MergeAggrSpecs(aggrs));
 }
 
 }  // namespace x100::plan

@@ -191,55 +191,22 @@ VectorBatch* ScanOp::Next() {
   }
 }
 
-namespace {
-
-// Checks v[0..n) non-decreasing and continuing from *last; updates *last.
-template <typename T>
-bool NonDecreasing(const void* raw, int64_t n, bool* have_last, int64_t* last) {
-  const T* v = static_cast<const T*>(raw);
-  if (n == 0) return true;
-  if (*have_last && static_cast<int64_t>(v[0]) < *last) return false;
-  bool ok = true;
-  for (int64_t i = 1; i < n; i++) ok &= !(v[i] < v[i - 1]);
-  *have_last = true;
-  *last = static_cast<int64_t>(v[n - 1]);
-  return ok;
-}
-
-bool RegionNonDecreasing(const Column& c, int64_t n, bool* have_last,
-                         int64_t* last) {
-  switch (c.storage_type()) {
-    case TypeId::kI8:  return NonDecreasing<int8_t>(c.raw(), n, have_last, last);
-    case TypeId::kU8:  return NonDecreasing<uint8_t>(c.raw(), n, have_last, last);
-    case TypeId::kI16: return NonDecreasing<int16_t>(c.raw(), n, have_last, last);
-    case TypeId::kU16: return NonDecreasing<uint16_t>(c.raw(), n, have_last, last);
-    case TypeId::kI32:
-    case TypeId::kDate: return NonDecreasing<int32_t>(c.raw(), n, have_last, last);
-    case TypeId::kI64: return NonDecreasing<int64_t>(c.raw(), n, have_last, last);
-    default: return false;
-  }
-}
-
-}  // namespace
-
 bool ScanIsNonDecreasing(ExecContext* ctx, const Table& table,
                          const std::string& col) {
   int ci = table.ColumnIndex(col);
-  if (table.column(ci).is_enum()) return false;
   const TableSnapshot* snap =
       ctx->snapshots != nullptr ? ctx->snapshots->Find(table.name()) : nullptr;
   int64_t frag_rows =
       snap != nullptr ? snap->fragment_rows : table.fragment_rows();
   int64_t total_rows = snap != nullptr ? snap->total_rows : table.total_rows();
-  bool have_last = false;
-  int64_t last = 0;
-  if (!RegionNonDecreasing(table.column(ci), frag_rows, &have_last, &last)) {
-    return false;
-  }
+  // The fragment's answer is kept on its column; the delta region is
+  // checked for this snapshot's rows, and must continue from the fragment.
+  Column::Order frag = table.column(ci).OrderOf(frag_rows);
+  if (!frag.non_decreasing) return false;
   if (total_rows == frag_rows) return true;
   if (ci >= table.num_delta_columns()) return false;
-  return RegionNonDecreasing(table.delta_column(ci), total_rows - frag_rows,
-                             &have_last, &last);
+  Column::Order delta = table.delta_column(ci).OrderOf(total_rows - frag_rows);
+  return delta.non_decreasing && (frag_rows == 0 || delta.first >= frag.last);
 }
 
 }  // namespace x100

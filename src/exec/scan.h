@@ -94,11 +94,12 @@ class ScanOp : public Operator {
 
 /// True when a full ScanOp of `table` under `ctx`'s snapshots delivers
 /// column `col` in non-decreasing order, so equal values arrive adjacently.
-/// One sequential pass over the raw fragment, then over the visible delta
-/// rows, with the same bounds ScanOp::Open takes. Deleted rows are checked
-/// too: dropping rows from a non-decreasing sequence keeps it so. Integer
-/// and date columns only; any other column (floats, strings, enum codes)
-/// returns false.
+/// Checks the fragment and then the visible delta rows, with the same bounds
+/// ScanOp::Open takes; the fragment's pass runs once per column
+/// (Column::OrderOf keeps its answer), the delta's per snapshot. Deleted
+/// rows are checked too: dropping rows from a non-decreasing sequence keeps
+/// it so. Integer and date columns only; any other column (floats, strings,
+/// enum codes) returns false.
 bool ScanIsNonDecreasing(ExecContext* ctx, const Table& table,
                          const std::string& col);
 

@@ -1,17 +1,15 @@
 #include <cstdint>
-#include <type_traits>
 
 #include "common/hash.h"
 #include "primitives/kernels.h"
 #include "primitives/primitive.h"
 
-// Fetch (positional gather), hash and direct-grouping primitives.
+// Fetch (positional gather) and hash primitives.
 //
 // map_fetch_* is the kernel behind Fetch1Join and enumeration-type decoding
 // (§4.3): res[i] = base[idx[i]], where `base` is an entire stored column and
 // `idx` a vector of #rowIds / enum codes. map_hash_* / map_rehash_* feed hash
-// aggregation and hash join; map_directgrp_* computes array indices for
-// direct aggregation from small bit-domains (§4.1.2, the Table 5 trace).
+// aggregation and hash join.
 
 namespace x100 {
 namespace {
@@ -118,45 +116,6 @@ void MapRehashStr(int n, void* res, const void* const* args, const int* sel) {
   }
 }
 
-// Group index from two single-byte columns: g = hi<<8 | lo (the hard-coded
-// Q1 trick of §3.3, and the map_directgrp of Table 5).
-template <typename A, typename B>
-void MapDirectGrp2(int n, void* res, const void* const* args, const int* sel) {
-  uint32_t* __restrict__ r = static_cast<uint32_t*>(res);
-  const A* __restrict__ a = static_cast<const A*>(args[0]);
-  const B* __restrict__ b = static_cast<const B*>(args[1]);
-  if (sel) {
-    for (int j = 0; j < n; j++) {
-      int i = sel[j];
-      r[i] = (static_cast<uint32_t>(static_cast<uint8_t>(a[i])) << 8) |
-             static_cast<uint32_t>(static_cast<uint8_t>(b[i]));
-    }
-  } else {
-    for (int i = 0; i < n; i++) {
-      r[i] = (static_cast<uint32_t>(static_cast<uint8_t>(a[i])) << 8) |
-             static_cast<uint32_t>(static_cast<uint8_t>(b[i]));
-    }
-  }
-}
-
-// Group index from one column of at most two bytes: its unsigned bit pattern.
-template <typename A>
-void MapDirectGrp1(int n, void* res, const void* const* args, const int* sel) {
-  using U = std::make_unsigned_t<A>;
-  uint32_t* __restrict__ r = static_cast<uint32_t*>(res);
-  const A* __restrict__ a = static_cast<const A*>(args[0]);
-  if (sel) {
-    for (int j = 0; j < n; j++) {
-      int i = sel[j];
-      r[i] = static_cast<uint32_t>(static_cast<U>(a[i]));
-    }
-  } else {
-    for (int i = 0; i < n; i++) {
-      r[i] = static_cast<uint32_t>(static_cast<U>(a[i]));
-    }
-  }
-}
-
 template <typename T, typename Idx>
 void RegisterFetch(PrimitiveRegistry* r, const char* t, const char* idx) {
   r->RegisterMap(std::string("map_fetch_") + t + "_col_" + idx + "_col",
@@ -201,13 +160,6 @@ void RegisterFetchHash(PrimitiveRegistry* r) {
   r->RegisterMap("map_rehash_f64_col", TypeId::kI64, 2, &MapRehashF64);
   r->RegisterMap("map_rehash_str_col", TypeId::kI64, 2, &MapRehashStr);
 
-  r->RegisterMap("map_directgrp_i8_col_i8_col", TypeId::kI32, 2,
-                 &MapDirectGrp2<int8_t, int8_t>);
-  r->RegisterMap("map_directgrp_u8_col_u8_col", TypeId::kI32, 2,
-                 &MapDirectGrp2<uint8_t, uint8_t>);
-  r->RegisterMap("map_directgrp_i8_col", TypeId::kI32, 1, &MapDirectGrp1<int8_t>);
-  r->RegisterMap("map_directgrp_u8_col", TypeId::kI32, 1, &MapDirectGrp1<uint8_t>);
-  r->RegisterMap("map_directgrp_u16_col", TypeId::kI32, 1, &MapDirectGrp1<uint16_t>);
 }
 
 }  // namespace x100

@@ -58,6 +58,18 @@ struct DenseDomain {
   uint64_t span = 0;
 };
 
+/// Argument of the map_directgrp_* / map_redirectgrp_* primitives: one key's
+/// digit of a mixed-radix group id, id = sum over keys of
+/// (k - base) * stride. Ids of keys inside every [base, base + span) are
+/// below `slots`; a key outside its span makes the id `slots` exactly, and
+/// later digits keep it there, so one comparison per id finds it.
+struct DirectGrpDigit {
+  int64_t base = 0;
+  uint64_t span = 0;
+  uint32_t stride = 1;
+  uint32_t slots = 0;
+};
+
 struct AggrPrimitive {
   TypeId state_type;  // accumulator slot type (i32 sums widen to i64)
   AggrFn fn;
@@ -127,6 +139,7 @@ void RegisterSelectCmp(PrimitiveRegistry* r);
 void RegisterSelectBitmap(PrimitiveRegistry* r);
 void RegisterAggrPrimitives(PrimitiveRegistry* r);
 void RegisterFetchHash(PrimitiveRegistry* r);
+void RegisterDirectGrp(PrimitiveRegistry* r);
 void RegisterStringPrimitives(PrimitiveRegistry* r);
 void RegisterFusedChainPrimitives(PrimitiveRegistry* r);
 

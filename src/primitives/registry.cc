@@ -13,6 +13,7 @@ const PrimitiveRegistry& PrimitiveRegistry::Get() {
     RegisterSelectBitmap(r);
     RegisterAggrPrimitives(r);
     RegisterFetchHash(r);
+    RegisterDirectGrp(r);
     RegisterStringPrimitives(r);
     RegisterFusedChainPrimitives(r);
     return r;

@@ -13,6 +13,22 @@ int64_t F64Key(double d) {
   return k;
 }
 
+template <typename T>
+void Gather(void* dst, const void* src, const int* sel, int64_t n) {
+  T* __restrict__ d = static_cast<T*>(dst);
+  const T* __restrict__ s = static_cast<const T*>(src);
+  for (int64_t j = 0; j < n; j++) d[j] = s[sel[j]];
+}
+
+template <typename T>
+Column::Order OrderOfValues(const void* raw, int64_t n) {
+  const T* v = static_cast<const T*>(raw);
+  if (n == 0) return {true, 0, 0};
+  bool ok = true;
+  for (int64_t i = 1; i < n; i++) ok &= !(v[i] < v[i - 1]);
+  return {ok, static_cast<int64_t>(v[0]), static_cast<int64_t>(v[n - 1])};
+}
+
 }  // namespace
 
 // ---- Dictionary -------------------------------------------------------------
@@ -145,6 +161,46 @@ void Column::AppendI64(int64_t v) {
       X100_CHECK(false);
   }
   rows_++;
+}
+
+void Column::AppendGather(const void* data, const int* sel, int64_t n) {
+  X100_CHECK(dict_ == nullptr && type_ != TypeId::kStr);
+  size_t w = TypeWidth(storage_);
+  size_t old = data_.size_bytes();
+  data_.Resize(old + static_cast<size_t>(n) * w);
+  void* dst = static_cast<char*>(data_.data()) + old;
+  switch (w) {
+    case 1: Gather<uint8_t>(dst, data, sel, n); break;
+    case 2: Gather<uint16_t>(dst, data, sel, n); break;
+    case 4: Gather<uint32_t>(dst, data, sel, n); break;
+    default:
+      X100_CHECK(w == 8);
+      Gather<uint64_t>(dst, data, sel, n);
+  }
+  rows_ += n;
+}
+
+Column::Order Column::OrderOf(int64_t n) const {
+  if (dict_ != nullptr) return {};
+  {
+    std::lock_guard<std::mutex> lock(order_memo_->mu);
+    if (order_memo_->rows == n) return order_memo_->order;
+  }
+  Order o;
+  switch (storage_) {
+    case TypeId::kI8:  o = OrderOfValues<int8_t>(raw(), n); break;
+    case TypeId::kU8:  o = OrderOfValues<uint8_t>(raw(), n); break;
+    case TypeId::kI16: o = OrderOfValues<int16_t>(raw(), n); break;
+    case TypeId::kU16: o = OrderOfValues<uint16_t>(raw(), n); break;
+    case TypeId::kI32:
+    case TypeId::kDate: o = OrderOfValues<int32_t>(raw(), n); break;
+    case TypeId::kI64: o = OrderOfValues<int64_t>(raw(), n); break;
+    default: return {};
+  }
+  std::lock_guard<std::mutex> lock(order_memo_->mu);
+  order_memo_->rows = n;
+  order_memo_->order = o;
+  return o;
 }
 
 void Column::AppendF64(double v) {

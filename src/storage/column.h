@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -97,6 +98,11 @@ class Column {
     rows_ += n;
   }
 
+  /// Appends the `n` physical values data[sel[0]], ..., data[sel[n - 1]]
+  /// (plain fixed-width columns only): one resize, then a typed copy per
+  /// value, for Materialize's selected rows.
+  void AppendGather(const void* data, const int* sel, int64_t n);
+
   // -- logical point reads (delta merge, row engines, result checking) --
   int64_t GetI64(int64_t row) const;
   double GetF64(int64_t row) const;
@@ -105,6 +111,18 @@ class Column {
 
   /// Code at `row`; column must be enum-encoded.
   int64_t CodeAt(int64_t row) const;
+
+  /// Sortedness of values [0, n) of a plain integer or date column: whether
+  /// they are non-decreasing, and the first and last value. Enum, float and
+  /// string columns report false. Appends never change a prefix, so the
+  /// answer for the last n asked is kept, under a lock for concurrent
+  /// sessions: a frozen fragment column is scanned once however many plans
+  /// ask.
+  struct Order {
+    bool non_decreasing = false;
+    int64_t first = 0, last = 0;
+  };
+  Order OrderOf(int64_t n) const;
 
   /// Widens u8 codes to u16 in place (no-op if already u16). Shared-dict
   /// delta columns normally keep a fixed code width; MVCC writers call this
@@ -129,6 +147,13 @@ class Column {
   Dictionary* dict_ = nullptr;  // owned_dict_.get() or a shared fragment dict
   bool allow_promote_ = true;   // shared-dict columns keep a fixed code width
   int64_t rows_ = 0;
+
+  struct OrderMemo {
+    std::mutex mu;
+    int64_t rows = -1;  // the n of `order`; -1 while none is kept
+    Order order;
+  };
+  std::unique_ptr<OrderMemo> order_memo_ = std::make_unique<OrderMemo>();
 };
 
 }  // namespace x100

@@ -26,7 +26,7 @@ const double kInf = 1e300;
 //
 // One plan at any thread count (PartialAggr): with ctx->num_threads > 1 the
 // scan+select+partial-aggregation pipeline is cloned across an Exchange
-// (each worker aggregating its morsel of lineitem) and one HashAggr above
+// (each worker aggregating its morsel of lineitem) and one Aggr above
 // the exchange merges the per-worker partials. The group count is tiny
 // (<= 6), so the merge is essentially free.
 TablePtr Q1(ExecContext* ctx, const Catalog& db) {
@@ -57,7 +57,7 @@ TablePtr Q1(ExecContext* ctx, const Catalog& db) {
                        .morsel = m});
         s = Select(c, std::move(s),
                    Le(Col("l_shipdate"), LitDate("1998-09-02")));
-        return DirectAggr(c, std::move(s), groups, aggrs());
+        return Aggr(c, std::move(s), groups, aggrs());
       });
   op = Project(
       ctx, std::move(op),
@@ -109,8 +109,8 @@ TablePtr Q2(ExecContext* ctx, const Catalog& db) {
              .build_out = {"p_mfgr"}});
   TablePtr psp = RunPlan(std::move(ps), "q2_psp");
 
-  auto minc = HashAggr(ctx, Scan(ctx, *psp, {"ps_partkey", "ps_supplycost"}),
-                       {"ps_partkey"}, AG(Min("min_cost", Col("ps_supplycost"))));
+  auto minc = Aggr(ctx, Scan(ctx, *psp, {"ps_partkey", "ps_supplycost"}),
+                   {"ps_partkey"}, AG(Min("min_cost", Col("ps_supplycost"))));
   TablePtr mint = RunPlan(std::move(minc), "q2_min");
 
   auto win = Join(ctx,
@@ -165,7 +165,7 @@ TablePtr Q3(ExecContext* ctx, const Catalog& db) {
         s = Project(c, std::move(s),
                     NE(Pass("l_orderkey"), Pass("o_orderdate"),
                        Pass("o_shippriority"), As("rev", Rev())));
-        return HashAggr(c, std::move(s), groups, aggrs());
+        return Aggr(c, std::move(s), groups, aggrs());
       });
   li = Project(ctx, std::move(li),
                NE(Pass("l_orderkey"), Pass("revenue"), Pass("o_orderdate"),
@@ -195,9 +195,9 @@ TablePtr Q4(ExecContext* ctx, const Catalog& db) {
                 {.probe_keys = {"l_orderkey"},
                  .build_keys = {"o_orderkey"},
                  .build_out = {"o_orderkey", "o_orderpriority"}});
-  j = HashAggr(ctx, std::move(j), {"o_orderkey", "o_orderpriority"}, {});
-  j = HashAggr(ctx, std::move(j), {"o_orderpriority"},
-               AG(CountAll("order_count")));
+  j = Aggr(ctx, std::move(j), {"o_orderkey", "o_orderpriority"}, {});
+  j = Aggr(ctx, std::move(j), {"o_orderpriority"},
+           AG(CountAll("order_count")));
   j = Order(ctx, std::move(j), {Asc("o_orderpriority")});
   return RunPlan(std::move(j), "q4");
 }
@@ -222,7 +222,7 @@ TablePtr Q5(ExecContext* ctx, const Catalog& db) {
                   {{"r_name", "r_name"}});
   li = Select(ctx, std::move(li), Eq(Col("r_name"), LitStr("ASIA")));
   li = Project(ctx, std::move(li), NE(Pass("n_name"), As("rev", Rev())));
-  li = HashAggr(ctx, std::move(li), {"n_name"}, AG(Sum("revenue", Col("rev"))));
+  li = Aggr(ctx, std::move(li), {"n_name"}, AG(Sum("revenue", Col("rev"))));
   li = Order(ctx, std::move(li), {Desc("revenue"), Asc("n_name")});
   return RunPlan(std::move(li), "q5");
 }
@@ -251,7 +251,7 @@ TablePtr Q6(ExecContext* ctx, const Catalog& db) {
                     And(Ge(Col("l_discount"), LitF64(0.05)),
                         And(Le(Col("l_discount"), LitF64(0.07)),
                             Lt(Col("l_quantity"), LitF64(24.0)))))));
-        return HashAggr(c, std::move(s), {}, aggrs());
+        return Aggr(c, std::move(s), {}, aggrs());
       });
   return RunPlan(std::move(li), "q6");
 }
@@ -285,8 +285,8 @@ TablePtr Q7(ExecContext* ctx, const Catalog& db) {
                NE(Pass("supp_nation"), Pass("cust_nation"),
                   As("l_year", Call1("year", Col("l_shipdate"))),
                   As("volume", Rev())));
-  li = HashAggr(ctx, std::move(li), {"supp_nation", "cust_nation", "l_year"},
-                AG(Sum("revenue", Col("volume"))));
+  li = Aggr(ctx, std::move(li), {"supp_nation", "cust_nation", "l_year"},
+            AG(Sum("revenue", Col("volume"))));
   li = Order(ctx, std::move(li),
              {Asc("supp_nation"), Asc("cust_nation"), Asc("l_year")});
   return RunPlan(std::move(li), "q7");
@@ -322,13 +322,13 @@ TablePtr Q8(ExecContext* ctx, const Catalog& db) {
                   As("volume", Rev()), Pass("s_nation")));
   TablePtr base = RunPlan(std::move(li), "q8_base");
 
-  auto tot = HashAggr(ctx, Scan(ctx, *base, {"o_year", "volume"}), {"o_year"},
-                      AG(Sum("total", Col("volume"))));
+  auto tot = Aggr(ctx, Scan(ctx, *base, {"o_year", "volume"}), {"o_year"},
+                  AG(Sum("total", Col("volume"))));
   TablePtr tott = RunPlan(std::move(tot), "q8_tot");
   auto bra = Select(ctx, Scan(ctx, *base, {"o_year", "volume", "s_nation"}),
                     Eq(Col("s_nation"), LitStr("BRAZIL")));
-  bra = HashAggr(ctx, std::move(bra), {"o_year"},
-                 AG(Sum("brazil", Col("volume"))));
+  bra = Aggr(ctx, std::move(bra), {"o_year"},
+             AG(Sum("brazil", Col("volume"))));
   TablePtr brat = RunPlan(std::move(bra), "q8_bra");
 
   auto fin = Join(ctx, Scan(ctx, *tott, {"o_year", "total"}),
@@ -377,8 +377,8 @@ TablePtr Q9(ExecContext* ctx, const Catalog& db) {
       ctx, std::move(li),
       NE(Pass("nation"), As("o_year", Call1("year", Col("o_orderdate"))),
          As("amount", Sub(Rev(), Mul(Col("ps_supplycost"), Col("l_quantity"))))));
-  li = HashAggr(ctx, std::move(li), {"nation", "o_year"},
-                AG(Sum("sum_profit", Col("amount"))));
+  li = Aggr(ctx, std::move(li), {"nation", "o_year"},
+            AG(Sum("sum_profit", Col("amount"))));
   li = Order(ctx, std::move(li), {Asc("nation"), Desc("o_year")});
   return RunPlan(std::move(li), "q9");
 }
@@ -397,7 +397,7 @@ TablePtr Q10(ExecContext* ctx, const Catalog& db) {
   // attribute) and fetch the attributes per *group* afterwards — far fewer
   // fetches and no string group keys.
   li = Project(ctx, std::move(li), NE(Pass("ji_c"), As("rev", Rev())));
-  li = HashAggr(ctx, std::move(li), {"ji_c"}, AG(Sum("revenue", Col("rev"))));
+  li = Aggr(ctx, std::move(li), {"ji_c"}, AG(Sum("revenue", Col("rev"))));
   li = Fetch1Join(ctx, std::move(li), db.Get("customer"), "ji_c",
                   {{"c_custkey", "c_custkey"},
                    {"c_name", "c_name"},
@@ -434,13 +434,13 @@ TablePtr Q11(ExecContext* ctx, const Catalog& db) {
   };
   TablePtr base = mk("q11_base");
 
-  auto tot = HashAggr(ctx, Scan(ctx, *base, {"value"}), {},
-                      AG(Sum("total", Col("value"))));
+  auto tot = Aggr(ctx, Scan(ctx, *base, {"value"}), {},
+                  AG(Sum("total", Col("value"))));
   TablePtr tott = RunPlan(std::move(tot), "q11_tot");
   double threshold = ScalarF64(*tott, "total") * 0.0001 / std::max(sf, 1e-9);
 
-  auto per = HashAggr(ctx, Scan(ctx, *base, {"ps_partkey", "value"}),
-                      {"ps_partkey"}, AG(Sum("value", Col("value"))));
+  auto per = Aggr(ctx, Scan(ctx, *base, {"ps_partkey", "value"}),
+                  {"ps_partkey"}, AG(Sum("value", Col("value"))));
   per = Select(ctx, std::move(per), Gt(Col("value"), LitF64(threshold)));
   per = Order(ctx, std::move(per), {Desc("value"), Asc("ps_partkey")});
   return RunPlan(std::move(per), "q11");

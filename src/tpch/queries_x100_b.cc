@@ -41,13 +41,13 @@ TablePtr Q12(ExecContext* ctx, const Catalog& db) {
               NE(Pass("l_shipmode"), Pass("o_orderpriority"))),
       "q12_base");
 
-  auto tot = HashAggr(ctx, Scan(ctx, *base, {"l_shipmode"}), {"l_shipmode"},
-                      AG(CountAll("total")));
+  auto tot = Aggr(ctx, Scan(ctx, *base, {"l_shipmode"}), {"l_shipmode"},
+                  AG(CountAll("total")));
   auto high = Select(ctx, Scan(ctx, *base, {"l_shipmode", "o_orderpriority"}),
                      In(Col("o_orderpriority"),
                         {Value::Str("1-URGENT"), Value::Str("2-HIGH")}));
-  high = HashAggr(ctx, std::move(high), {"l_shipmode"},
-                  AG(CountAll("high_line_count")));
+  high = Aggr(ctx, std::move(high), {"l_shipmode"},
+              AG(CountAll("high_line_count")));
   auto fin = Join(ctx, std::move(tot), std::move(high),
                   {.probe_keys = {"l_shipmode"},
                    .build_keys = {"l_shipmode"},
@@ -67,7 +67,7 @@ TablePtr Q13(ExecContext* ctx, const Catalog& db) {
   auto ord = Scan(ctx, db.Get("orders"), {"o_custkey", "o_comment"});
   ord = Select(ctx, std::move(ord),
                NotLike(Col("o_comment"), "%special%requests%"));
-  ord = HashAggr(ctx, std::move(ord), {"o_custkey"}, AG(CountAll("c_count")));
+  ord = Aggr(ctx, std::move(ord), {"o_custkey"}, AG(CountAll("c_count")));
 
   auto cust = Scan(ctx, db.Get("customer"), {"c_custkey"});
   auto j = Join(ctx, std::move(cust), std::move(ord),
@@ -76,7 +76,7 @@ TablePtr Q13(ExecContext* ctx, const Catalog& db) {
                  .probe_out = {"c_custkey"},
                  .build_out = {"c_count"},
                  .type = JoinType::kLeftOuterDefault});
-  j = HashAggr(ctx, std::move(j), {"c_count"}, AG(CountAll("custdist")));
+  j = Aggr(ctx, std::move(j), {"c_count"}, AG(CountAll("custdist")));
   j = Order(ctx, std::move(j), {Desc("custdist"), Desc("c_count")});
   return RunPlan(std::move(j), "q13");
 }
@@ -102,19 +102,19 @@ TablePtr Q14(ExecContext* ctx, const Catalog& db) {
         s = Fetch1Join(c, std::move(s), db.Get("part"), kJiPart,
                        {{"p_type", "p_type"}});
         s = Project(c, std::move(s), NE(Pass("p_type"), As("rev", Rev())));
-        return HashAggr(c, std::move(s), {"p_type"}, aggrs());
+        return Aggr(c, std::move(s), {"p_type"}, aggrs());
       });
   TablePtr base = RunPlan(std::move(li), "q14_base");
 
   TablePtr allt =
-      RunPlan(HashAggr(ctx, Scan(ctx, *base, {"rev"}), {},
-                       AG(Sum("total", Col("rev")))),
+      RunPlan(Aggr(ctx, Scan(ctx, *base, {"rev"}), {},
+                   AG(Sum("total", Col("rev")))),
               "q14_all");
   TablePtr promo = RunPlan(
-      HashAggr(ctx,
-               Select(ctx, Scan(ctx, *base, {"p_type", "rev"}),
-                      Like(Col("p_type"), "PROMO%")),
-               {}, AG(Sum("promo", Col("rev")))),
+      Aggr(ctx,
+           Select(ctx, Scan(ctx, *base, {"p_type", "rev"}),
+                  Like(Col("p_type"), "PROMO%")),
+           {}, AG(Sum("promo", Col("rev")))),
       "q14_promo");
 
   auto fin = CartProd(ctx, Scan(ctx, *promo, {"promo"}),
@@ -136,13 +136,13 @@ TablePtr Q15(ExecContext* ctx, const Catalog& db) {
               And(Ge(Col("l_shipdate"), LitDate("1996-01-01")),
                   Lt(Col("l_shipdate"), LitDate("1996-04-01"))));
   li = Project(ctx, std::move(li), NE(Pass("l_suppkey"), As("rev", Rev())));
-  li = HashAggr(ctx, std::move(li), {"l_suppkey"},
-                AG(Sum("total_revenue", Col("rev"))));
+  li = Aggr(ctx, std::move(li), {"l_suppkey"},
+            AG(Sum("total_revenue", Col("rev"))));
   TablePtr revenue = RunPlan(std::move(li), "q15_revenue");
 
   TablePtr maxt =
-      RunPlan(HashAggr(ctx, Scan(ctx, *revenue, {"total_revenue"}), {},
-                       AG(Max("max_rev", Col("total_revenue")))),
+      RunPlan(Aggr(ctx, Scan(ctx, *revenue, {"total_revenue"}), {},
+                   AG(Max("max_rev", Col("total_revenue")))),
               "q15_max");
   double maxrev = ScalarF64(*maxt, "max_rev");
 
@@ -191,10 +191,10 @@ TablePtr Q16(ExecContext* ctx, const Catalog& db) {
              .probe_out = {"ps_suppkey"},
              .build_out = {"p_brand", "p_type", "p_size"}});
   // count(distinct ps_suppkey): distinct first, then count.
-  ps = HashAggr(ctx, std::move(ps),
-                {"p_brand", "p_type", "p_size", "ps_suppkey"}, {});
-  ps = HashAggr(ctx, std::move(ps), {"p_brand", "p_type", "p_size"},
-                AG(CountAll("supplier_cnt")));
+  ps = Aggr(ctx, std::move(ps),
+            {"p_brand", "p_type", "p_size", "ps_suppkey"}, {});
+  ps = Aggr(ctx, std::move(ps), {"p_brand", "p_type", "p_size"},
+            AG(CountAll("supplier_cnt")));
   ps = Order(ctx, std::move(ps),
              {Desc("supplier_cnt"), Asc("p_brand"), Asc("p_type"),
               Asc("p_size")});
@@ -218,9 +218,9 @@ TablePtr Q17(ExecContext* ctx, const Catalog& db) {
              .probe_out = {"l_partkey", "l_quantity", "l_extendedprice"}});
   TablePtr t = RunPlan(std::move(li), "q17_li");
 
-  auto a = HashAggr(ctx, Scan(ctx, *t, {"l_partkey", "l_quantity"}),
-                    {"l_partkey"},
-                    AG(Sum("qty_sum", Col("l_quantity")), CountAll("qty_cnt")));
+  auto a = Aggr(ctx, Scan(ctx, *t, {"l_partkey", "l_quantity"}),
+                {"l_partkey"},
+                AG(Sum("qty_sum", Col("l_quantity")), CountAll("qty_cnt")));
   a = Project(ctx, std::move(a),
               NE(As("pk", Col("l_partkey")),
                  As("lim", Mul(LitF64(0.2),
@@ -236,8 +236,8 @@ TablePtr Q17(ExecContext* ctx, const Catalog& db) {
                  .probe_out = {"l_quantity", "l_extendedprice"},
                  .build_out = {"lim"}});
   j = Select(ctx, std::move(j), Lt(Col("l_quantity"), Col("lim")));
-  j = HashAggr(ctx, std::move(j), {},
-               AG(Sum("sum_price", Col("l_extendedprice"))));
+  j = Aggr(ctx, std::move(j), {},
+           AG(Sum("sum_price", Col("l_extendedprice"))));
   j = Project(ctx, std::move(j),
               NE(As("avg_yearly", Div(Col("sum_price"), LitF64(7.0)))));
   return RunPlan(std::move(j), "q17");
@@ -309,7 +309,7 @@ TablePtr Q19(ExecContext* ctx, const Catalog& db) {
                   {Value::Str("LG CASE"), Value::Str("LG BOX"),
                    Value::Str("LG PACK"), Value::Str("LG PKG")},
                   20, 30, 15))));
-  li = HashAggr(ctx, std::move(li), {}, AG(Sum("revenue", Rev())));
+  li = Aggr(ctx, std::move(li), {}, AG(Sum("revenue", Rev())));
   return RunPlan(std::move(li), "q19");
 }
 
@@ -332,8 +332,8 @@ TablePtr Q20(ExecContext* ctx, const Catalog& db) {
             {.probe_keys = {"l_partkey"},
              .build_keys = {"p_partkey"},
              .probe_out = {"l_partkey", "l_suppkey", "l_quantity"}});
-  li = HashAggr(ctx, std::move(li), {"l_partkey", "l_suppkey"},
-                AG(Sum("sum_qty", Col("l_quantity"))));
+  li = Aggr(ctx, std::move(li), {"l_partkey", "l_suppkey"},
+            AG(Sum("sum_qty", Col("l_quantity"))));
   TablePtr sq = RunPlan(std::move(li), "q20_sq");
 
   auto ps = Scan(ctx, db.Get("partsupp"),
@@ -346,7 +346,7 @@ TablePtr Q20(ExecContext* ctx, const Catalog& db) {
              .build_out = {"sum_qty"}});
   ps = Select(ctx, std::move(ps),
               Gt(Col("ps_availqty"), Mul(LitF64(0.5), Col("sum_qty"))));
-  ps = HashAggr(ctx, std::move(ps), {"ps_suppkey"}, {});
+  ps = Aggr(ctx, std::move(ps), {"ps_suppkey"}, {});
   TablePtr sk = RunPlan(std::move(ps), "q20_sk");
 
   auto s = Scan(ctx, db.Get("supplier"),
@@ -436,7 +436,7 @@ TablePtr Q21(ExecContext* ctx, const Catalog& db) {
                 {.probe_keys = {"l_orderkey"},
                  .build_keys = {"l_orderkey"},
                  .probe_out = {"s_name"}});
-  l1 = HashAggr(ctx, std::move(l1), {"s_name"}, AG(CountAll("numwait")));
+  l1 = Aggr(ctx, std::move(l1), {"s_name"}, AG(CountAll("numwait")));
   l1 = TopN(ctx, std::move(l1), {Desc("numwait"), Asc("s_name")}, 100);
   return RunPlan(std::move(l1), "q21");
 }
@@ -460,8 +460,8 @@ TablePtr Q22(ExecContext* ctx, const Catalog& db) {
   // Average positive balance over the code set.
   auto avg = Select(ctx, Scan(ctx, *cset, {"c_acctbal"}),
                     Gt(Col("c_acctbal"), LitF64(0.0)));
-  avg = HashAggr(ctx, std::move(avg), {},
-                 AG(Sum("s", Col("c_acctbal")), CountAll("n")));
+  avg = Aggr(ctx, std::move(avg), {},
+             AG(Sum("s", Col("c_acctbal")), CountAll("n")));
   TablePtr avgt = RunPlan(std::move(avg), "q22_avg");
   double avgbal = ScalarF64(*avgt, "s") /
                   std::max<double>(1.0, static_cast<double>(
@@ -480,7 +480,7 @@ TablePtr Q22(ExecContext* ctx, const Catalog& db) {
                        {.probe_keys = {"o_custkey"},
                         .build_keys = {"c_custkey"},
                         .probe_out = {"o_custkey"}});
-  have = HashAggr(ctx, std::move(have), {"o_custkey"}, {});
+  have = Aggr(ctx, std::move(have), {"o_custkey"}, {});
   auto fin_op = AntiJoin(ctx,
                          Scan(ctx, *c2t, {"c_custkey", "c_phone", "c_acctbal"}),
                          std::move(have),
@@ -497,8 +497,8 @@ TablePtr Q22(ExecContext* ctx, const Catalog& db) {
   for (const std::string& code : codes) {
     auto g = Select(ctx, Scan(ctx, *fin, {"c_phone", "c_acctbal"}),
                     Like(Col("c_phone"), code + "%"));
-    g = HashAggr(ctx, std::move(g), {},
-                 AG(CountAll("numcust"), Sum("total", Col("c_acctbal"))));
+    g = Aggr(ctx, std::move(g), {},
+             AG(CountAll("numcust"), Sum("total", Col("c_acctbal"))));
     TablePtr gt = RunPlan(std::move(g), "q22_g");
     int64_t n = ScalarI64(*gt, "numcust");
     if (n == 0) continue;

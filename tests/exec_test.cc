@@ -286,7 +286,11 @@ TEST(ExprTest, YearFunction) {
 /// Input for the aggregation differentials: 200 runs, each with its own
 /// distinct i8 key `g8` (negative ones included) so the data is clustered on
 /// (g8, g8b); enum keys of dictionary size 1, 3 and 256 that are not
-/// clustered; a filter column; and values of every aggregated type. The f64
+/// clustered; keys that exercise Aggr's id sources (a dense i32, i32 values
+/// just above INT32_MIN, a date, a plain string, `kgrow`, which leaves the
+/// first vectors' span upwards and then downwards, and `ksparse`, whose
+/// first 90 groups are dense before keys ~1e9 apart arrive); a filter
+/// column; and values of every aggregated type. The f64
 /// values include NaN, 0.0 and -0.0, which make min/max and sums depend on
 /// the exact update order.
 std::unique_ptr<Table> MakeAggrInput(uint64_t seed) {
@@ -296,6 +300,12 @@ std::unique_ptr<Table> MakeAggrInput(uint64_t seed) {
                                                 {"d1", TypeId::kStr, true},
                                                 {"d3", TypeId::kStr, true},
                                                 {"d256", TypeId::kStr, true},
+                                                {"k32", TypeId::kI32, false},
+                                                {"kneg", TypeId::kI32, false},
+                                                {"kdate", TypeId::kDate, false},
+                                                {"ks", TypeId::kStr, false},
+                                                {"kgrow", TypeId::kI32, false},
+                                                {"ksparse", TypeId::kI64, false},
                                                 {"f", TypeId::kI32, false},
                                                 {"vi32", TypeId::kI32, false},
                                                 {"vi64", TypeId::kI64, false},
@@ -314,6 +324,11 @@ std::unique_ptr<Table> MakeAggrInput(uint64_t seed) {
            Value::I8(static_cast<int8_t>(r % 3)), Value::Str("one"),
            Value::Str("k" + std::to_string(rng.Uniform(0, 2))),
            Value::Str("w" + std::to_string(row % 256)),
+           Value::I32(1000 + (r * 7) % 200),
+           Value::I32(std::numeric_limits<int32_t>::min() + (r * 11) % 150),
+           Value::Date(9000 + (r * 13) % 120), Value::Str("s" + std::to_string(r % 40)),
+           Value::I32(r < 190 ? r * 5 : -500 - r),
+           Value::I64(r < 180 || r % 2 == 0 ? r % 90 : r * 1000000007LL),
            Value::I32(static_cast<int32_t>(rng.Uniform(0, 99))),
            Value::I32(static_cast<int32_t>(rng.Uniform(-1000, 1000))),
            Value::I64(rng.Uniform(-(1LL << 40), 1LL << 40)), Value::F64(v)});
@@ -464,18 +479,41 @@ AggrResult ReferenceAggr(const Table& t, const std::vector<std::string>& keys,
   return res;
 }
 
-enum class AggrKind { kHash, kDirect, kOrd };
+enum class AggrKind { kAggr, kOrd };
+
+/// Group keys of the live rows of `t`, in first-seen order.
+std::vector<std::string> FirstSeen(const Table& t,
+                                   const std::vector<std::string>& keys,
+                                   bool filtered) {
+  std::vector<int> key_cols;
+  for (const std::string& k : keys) key_cols.push_back(t.ColumnIndex(k));
+  std::set<std::string> seen;
+  std::vector<std::string> order;
+  for (int64_t r = 0; r < t.num_rows(); r++) {
+    if (filtered && t.GetValue(r, t.ColumnIndex("f")).AsI64() >= 70) continue;
+    std::string key = GroupKey(t, r, key_cols);
+    if (seen.insert(key).second) order.push_back(key);
+  }
+  return order;
+}
+
+std::string JoinKeys(const std::vector<std::string>& keys) {
+  std::string s;
+  for (const std::string& k : keys) s += (s.empty() ? "" : ",") + k;
+  return s;
+}
 
 /// Runs one aggregation operator over `t` (optionally behind a Select) and
-/// checks it against the reference, bit for bit. With fusion on and specs
-/// that pass ExpectRowPass, the operator must have run the aggr_rows row
-/// pass; otherwise one typed aggr_* primitive per aggregate.
+/// checks it against the reference, bit for bit, and its row order against
+/// first-seen order. With fusion on and specs that pass ExpectRowPass, the
+/// operator must have run the aggr_rows row pass; otherwise one typed aggr_*
+/// primitive per aggregate.
 void ExpectAggrMatchesReference(const Table& t, AggrKind kind,
                                 const std::vector<std::string>& keys, int k,
                                 int first, int vector_size, bool filtered,
                                 bool fuse, int run = 1) {
-  SCOPED_TRACE("op " + std::to_string(static_cast<int>(kind)) + " key " +
-               keys[0] + " k " + std::to_string(k) + " first " +
+  SCOPED_TRACE("op " + std::to_string(static_cast<int>(kind)) + " keys " +
+               JoinKeys(keys) + " k " + std::to_string(k) + " first " +
                std::to_string(first) + " run " + std::to_string(run) + " vs " +
                std::to_string(vector_size) + (filtered ? " +select" : "") +
                (fuse ? " fused" : ""));
@@ -489,20 +527,19 @@ void ExpectAggrMatchesReference(const Table& t, AggrKind kind,
   OpPtr op = plan::Scan(&ctx, t, cols);
   if (filtered) op = plan::Select(&ctx, std::move(op), Lt(Col("f"), LitI32(70)));
   std::vector<AggrSpec> specs = AggrMix(k, first, run);
-  switch (kind) {
-    case AggrKind::kHash:
-      op = plan::HashAggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs));
-      break;
-    case AggrKind::kDirect:
-      op = plan::DirectAggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs));
-      break;
-    case AggrKind::kOrd:
-      op = plan::OrdAggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs));
-      break;
-  }
+  op = kind == AggrKind::kAggr
+           ? plan::Aggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs))
+           : plan::OrdAggr(&ctx, std::move(op), keys, CloneAggrSpecs(specs));
   std::unique_ptr<Table> out = RunPlan(std::move(op), "r");
   EXPECT_EQ(ResultOf(*out, keys.size()),
             ReferenceAggr(t, keys, specs, filtered));
+  std::vector<int> out_keys;
+  for (size_t c = 0; c < keys.size(); c++) out_keys.push_back(static_cast<int>(c));
+  std::vector<std::string> order;
+  for (int64_t r = 0; r < out->num_rows(); r++) {
+    order.push_back(GroupKey(*out, r, out_keys));
+  }
+  EXPECT_EQ(order, FirstSeen(t, keys, filtered));
   bool saw_rows = false, saw_typed = false;
   for (const auto& [name, st] : prof.Rows()) {
     if (st->tuples == 0) continue;
@@ -514,17 +551,47 @@ void ExpectAggrMatchesReference(const Table& t, AggrKind kind,
   EXPECT_EQ(saw_typed, !rows);
 }
 
+/// The path an Aggr over `keys` of `t` took, from its EXPLAIN ANALYZE node:
+/// the node's detail ("direct" or "hash") and its aggr.* counters.
+struct AggrPathInfo {
+  std::string path;
+  std::map<std::string, uint64_t> counters;
+};
+
+AggrPathInfo AggrPathOf(const Table& t, const std::vector<std::string>& keys,
+                        int vector_size, ExprPtr pred = nullptr) {
+  ExecContext ctx;
+  ctx.vector_size = vector_size;
+  QueryTrace trace;
+  ctx.trace = &trace;
+  std::vector<std::string> cols = keys;
+  cols.push_back("f");
+  OpPtr op = plan::Scan(&ctx, t, cols);
+  if (pred) op = plan::Select(&ctx, std::move(op), std::move(pred));
+  op = plan::Aggr(&ctx, std::move(op), keys, AG(CountAll("n")));
+  const TraceNode* node = static_cast<InstrumentedOperator*>(op.get())->node();
+  RunPlan(std::move(op), "r");
+  AggrPathInfo info{node->detail, {}};
+  for (const auto& [name, v] : node->counters) {
+    if (name.rfind("aggr.", 0) == 0) info.counters[name] = v;
+  }
+  return info;
+}
+
 TEST(AggrOpTest, HashDirectOrderedAgree) {
   // Every aggregate op x input type, k = 1..7 aggregates in rotating mixes
   // (distinct kinds, and kinds in pairs), with and without a selection
   // vector, at vector sizes 1, 7 and 1024, with the row pass (fusion on) and
-  // per-aggregate updates (off): all three physical aggregations (§4.1.2)
-  // match the reference bit for bit. Then runs of 3 to 9 slots of one kind
-  // (aggr_rows splits runs longer than 8), counts included.
+  // per-aggregate updates (off): Aggr on both of its id sources and OrdAggr
+  // (§4.1.2) match the reference bit for bit and emit groups in first-seen
+  // order. Then runs of 3 to 9 slots of one kind (aggr_rows splits runs
+  // longer than 8), counts included. Under the Select, 7-tuple vectors mix
+  // selections that keep more and less than half of their range, so the
+  // direct id primitives run both their dense and their selective loops.
   std::unique_ptr<Table> t = MakeAggrInput(3);
   const std::vector<std::pair<AggrKind, std::vector<std::string>>> cases = {
-      {AggrKind::kHash, {"g8"}},          {AggrKind::kHash, {"d3", "g8b"}},
-      {AggrKind::kDirect, {"g8"}},        {AggrKind::kDirect, {"g8", "g8b"}},
+      {AggrKind::kAggr, {"g8"}},          {AggrKind::kAggr, {"d3", "g8b"}},
+      {AggrKind::kAggr, {"g8", "g8b"}},   {AggrKind::kAggr, {"ks", "g8b"}},
       {AggrKind::kOrd, {"g8"}},           {AggrKind::kOrd, {"g8", "g8b"}}};
   for (const auto& [kind, keys] : cases) {
     for (int vs : {1, 7, 1024}) {
@@ -549,37 +616,72 @@ TEST(AggrOpTest, HashDirectOrderedAgree) {
       }
     }
   }
+
+  // Key shapes of Aggr's two id sources, and the changes between them:
+  // direct ids over a dense i32, keys near INT32_MIN, a date, Q1's two i8
+  // keys, enum codes and three keys; hashing from the start for strings;
+  // re-bases when keys leave the current span (`kgrow`); and a switch to
+  // hashing mid-stream with groups made before and after it (`ksparse`).
+  const std::vector<std::vector<std::string>> shapes = {
+      {"k32"}, {"kneg"},  {"kdate"}, {"g8", "g8b"}, {"d256"}, {"d3", "d1"},
+      {"g8b", "d3", "kdate"}, {"ks"},  {"kgrow"},   {"ksparse"}};
+  for (const auto& keys : shapes) {
+    for (int vs : {1, 7, 1024}) {
+      for (bool filtered : {false, true}) {
+        for (bool fuse : {false, true}) {
+          ExpectAggrMatchesReference(*t, AggrKind::kAggr, keys, 7, 3, vs,
+                                     filtered, fuse);
+          ExpectAggrMatchesReference(*t, AggrKind::kAggr, keys, 1, 9, vs,
+                                     filtered, fuse);
+        }
+      }
+      SCOPED_TRACE("keys " + JoinKeys(keys) + " vs " + std::to_string(vs));
+      AggrPathInfo p = AggrPathOf(*t, keys, vs);
+      bool strings = keys[0] == "ks";
+      bool sparse = keys[0] == "ksparse";
+      EXPECT_EQ(p.path, strings || sparse ? "hash" : "direct");
+      EXPECT_EQ(p.counters.count("aggr.switch_groups"), sparse ? 1u : 0u);
+      if (sparse) {
+        EXPECT_EQ(p.counters["aggr.switch_groups"], 90u);
+      }
+      if (keys[0] == "kgrow") {
+        EXPECT_GT(p.counters["aggr.rebases"], 0u);
+      }
+      EXPECT_EQ(p.counters["aggr.id_slots"] > 0, !strings);
+
+      // Empty input: a Select that keeps nothing leaves no group.
+      ExecContext ctx;
+      ctx.vector_size = vs;
+      std::vector<std::string> cols = keys;
+      cols.push_back("f");
+      OpPtr op = plan::Select(&ctx, plan::Scan(&ctx, *t, cols),
+                              Lt(Col("f"), LitI32(0)));
+      op = plan::Aggr(&ctx, std::move(op), keys, AG(CountAll("n")));
+      EXPECT_EQ(RunPlan(std::move(op), "r")->num_rows(), 0);
+    }
+  }
 }
 
 TEST(AggrOpTest, DirectAggrDictionaryAndByteKeys) {
-  // DirectAggr over dictionary-coded keys (dictionaries of 1, 3 and 256
-  // entries, alone and as a pair) and over a plain i8 key (negative values
-  // included, which must stay inside the 256-id domain); all agree with the
-  // reference.
+  // Aggr over dictionary-coded keys (dictionaries of 1, 3 and 256 entries,
+  // alone and as a pair) and over a plain i8 key (negative values included)
+  // takes direct ids, and all agree with the reference.
   std::unique_ptr<Table> t = MakeAggrInput(5);
   const std::vector<std::vector<std::string>> key_sets = {
       {"d1"}, {"d3"}, {"d256"}, {"d3", "d1"}, {"g8"}};
   for (const auto& keys : key_sets) {
     for (int vs : {7, 1024}) {
       for (bool fuse : {false, true}) {
-        ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 7, 3, vs, true,
+        ExpectAggrMatchesReference(*t, AggrKind::kAggr, keys, 7, 3, vs, true,
                                    fuse);
-        ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 6, 5, vs,
-                                   false, fuse, /*run=*/2);
-        ExpectAggrMatchesReference(*t, AggrKind::kDirect, keys, 1, 9, vs,
-                                   false, fuse);
+        ExpectAggrMatchesReference(*t, AggrKind::kAggr, keys, 6, 5, vs, false,
+                                   fuse, /*run=*/2);
+        ExpectAggrMatchesReference(*t, AggrKind::kAggr, keys, 1, 9, vs, false,
+                                   fuse);
       }
+      EXPECT_EQ(AggrPathOf(*t, keys, vs).path, "direct");
     }
   }
-  // Emission order is id order, i.e. code order (the dictionary's
-  // first-appearance order here), and every group appears once.
-  ExecContext ctx;
-  std::unique_ptr<Table> out = RunPlan(
-      plan::DirectAggr(&ctx, plan::Scan(&ctx, *t, {"d3", "d1"}), {"d3", "d1"},
-                       AG(CountAll("n"))),
-      "r");
-  ASSERT_EQ(out->num_rows(), 3);
-  EXPECT_EQ(out->GetValue(0, 0).AsStr(), t->GetValue(0, 3).AsStr());
 }
 
 // ---- Ordered aggregation vs hash aggregation (differential, eps 0) ---------
@@ -643,7 +745,7 @@ std::vector<AggrSpec> AllOrdAggrSpecs() {
   return a;
 }
 
-/// Runs HashAggr and OrdAggr over the same input (optionally behind a Select),
+/// Runs Aggr and OrdAggr over the same input (optionally behind a Select),
 /// each with the row pass (fusion on) and with per-aggregate updates (off),
 /// and requires bit-identical results in the same row order.
 void ExpectOrdMatchesHash(const Table& t, const std::vector<std::string>& keys,
@@ -657,7 +759,7 @@ void ExpectOrdMatchesHash(const Table& t, const std::vector<std::string>& keys,
     OpPtr op = plan::Scan(&ctx, t, cols);
     if (pred) op = plan::Select(&ctx, std::move(op), pred->Clone());
     op = ord ? plan::OrdAggr(&ctx, std::move(op), keys, AllOrdAggrSpecs())
-             : plan::HashAggr(&ctx, std::move(op), keys, AllOrdAggrSpecs());
+             : plan::Aggr(&ctx, std::move(op), keys, AllOrdAggrSpecs());
     return RunPlan(std::move(op), "r");
   };
   SCOPED_TRACE("vector_size " + std::to_string(vector_size) + " keys " +
@@ -757,13 +859,13 @@ TEST(OrdAggrTest, ClusteredAggrFallsBackToHashWhenAppendsBreakOrder) {
   EXPECT_TRUE(ScanIsNonDecreasing(&ctx, *t, "id"));
   EXPECT_EQ(run("above").first, "OrdAggr");
 
-  // A delta row repeating an early key breaks it: HashAggr must take over
-  // and fold the row into the existing group.
+  // A delta row repeating an early key breaks it: Aggr must take over and
+  // fold the row into the existing group.
   t->Insert({Value::I32(7), Value::Str("red"), Value::F64(1), Value::F64(100),
              Value::Date(9000)});
   EXPECT_FALSE(ScanIsNonDecreasing(&ctx, *t, "id"));
   auto [label, r] = run("broken");
-  EXPECT_EQ(label, "HashAggr");
+  EXPECT_EQ(label, "Aggr");
   EXPECT_EQ(r->num_rows(), 3001);
   EXPECT_DOUBLE_EQ(r->GetValue(7, 1).AsF64(),
                    t->GetValue(7, t->ColumnIndex("price")).AsF64() + 100.0);
@@ -778,8 +880,8 @@ TEST(AggrOpTest, ScalarAggregateOnEmptyInput) {
   ExecContext ctx;
   OpPtr op = plan::Scan(&ctx, *t, {"id", "price"});
   op = plan::Select(&ctx, std::move(op), Gt(Col("id"), LitI32(1000)));  // none
-  op = plan::HashAggr(&ctx, std::move(op), {},
-                      AG(Sum("s", Col("price")), CountAll("n")));
+  op = plan::Aggr(&ctx, std::move(op), {},
+                  AG(Sum("s", Col("price")), CountAll("n")));
   std::unique_ptr<Table> r = RunPlan(std::move(op), "r");
   ASSERT_EQ(r->num_rows(), 1);
   EXPECT_DOUBLE_EQ(r->GetValue(0, 0).AsF64(), 0.0);
@@ -791,7 +893,7 @@ TEST(AggrOpTest, GroupedAggregateOnEmptyInputIsEmpty) {
   ExecContext ctx;
   OpPtr op = plan::Scan(&ctx, *t, {"id", "tag", "price"});
   op = plan::Select(&ctx, std::move(op), Gt(Col("id"), LitI32(1000)));
-  op = plan::HashAggr(&ctx, std::move(op), {"tag"}, AG(CountAll("n")));
+  op = plan::Aggr(&ctx, std::move(op), {"tag"}, AG(CountAll("n")));
   EXPECT_EQ(RunPlan(std::move(op), "r")->num_rows(), 0);
 }
 
@@ -1064,8 +1166,8 @@ TEST(BmScanTest, MatchesInMemoryScanPlainAndCompressed) {
   auto run = [&](OpPtr scan) {
     auto op = plan::Select(&ctx, std::move(scan),
                            Gt(Col("qty"), LitF64(25.0)));
-    op = plan::HashAggr(&ctx, std::move(op), {"tag"},
-                        AG(Sum("s", Col("qty")), CountAll("n")));
+    op = plan::Aggr(&ctx, std::move(op), {"tag"},
+                    AG(Sum("s", Col("qty")), CountAll("n")));
     return RunPlan(plan::Order(&ctx, std::move(op), {Asc("tag")}), "r");
   };
   std::unique_ptr<Table> ram =
@@ -1089,7 +1191,7 @@ TEST(BmScanTest, BlocksAreReusedAcrossQueries) {
   ExecContext ctx;
   ColumnBm bm;
   for (int run = 0; run < 2; run++) {
-    auto op = plan::HashAggr(
+    auto op = plan::Aggr(
         &ctx,
         plan::OpPtr(std::make_unique<BmScanOp>(
             &ctx, &bm, *t, BmScanSpec{.cols = {"id"}, .compress = true})),
@@ -1142,7 +1244,7 @@ TEST(BmScanTest, MorselScansPartitionTheFragment) {
   ExecContext ctx;
   ColumnBm bm;
   auto sum_count = [&](ScanSpec::Morsel m) {
-    auto op = plan::HashAggr(
+    auto op = plan::Aggr(
         &ctx,
         plan::BmScan(&ctx, &bm, *t,
                      {.cols = {"id"}, .compress = true, .morsel = m}),

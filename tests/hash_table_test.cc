@@ -268,7 +268,7 @@ TEST_F(HashOpsTest, HeavyDuplicateKeysAcrossResize) {
   }
 
   // Same shape through aggregation: 1000 groups, 20 rows each.
-  auto ag = plan::HashAggr(
+  auto ag = plan::Aggr(
       &ctx_, plan::Scan(&ctx_, *build, {"k"}), {"k"}, AG(CountAll("n")));
   std::unique_ptr<Table> g = RunPlan(std::move(ag), "g");
   EXPECT_EQ(g->num_rows(), 1000);

@@ -288,13 +288,13 @@ TEST(TraceTest, EndToEndTracedPlan) {
   auto op = plan::Scan(&ctx, *t, {"v"});
   std::vector<AggrSpec> aggrs;
   aggrs.push_back(Sum("s", Col("v")));
-  op = plan::HashAggr(&ctx, std::move(op), {}, std::move(aggrs));
+  op = plan::Aggr(&ctx, std::move(op), {}, std::move(aggrs));
   std::unique_ptr<Table> res = RunPlan(std::move(op), "traced_sum");
 
   ASSERT_EQ(res->num_rows(), 1);
   ASSERT_EQ(trace.roots().size(), 1u);
   const TraceNode* root = trace.roots()[0];
-  EXPECT_EQ(root->label, "HashAggr");
+  EXPECT_EQ(root->label, "Aggr");
   EXPECT_EQ(root->plan_name, "traced_sum");
   ASSERT_EQ(root->children.size(), 1u);
   const TraceNode* scan = root->children[0];
@@ -307,10 +307,10 @@ TEST(TraceTest, EndToEndTracedPlan) {
 
   std::string txt = trace.ToString();
   EXPECT_NE(txt.find("[traced_sum]"), std::string::npos);
-  EXPECT_NE(txt.find("HashAggr"), std::string::npos);
+  EXPECT_NE(txt.find("Aggr"), std::string::npos);
   EXPECT_NE(txt.find("Scan"), std::string::npos);
   std::string j = trace.ToJson();
-  EXPECT_NE(j.find("\"label\":\"HashAggr\""), std::string::npos);
+  EXPECT_NE(j.find("\"label\":\"Aggr\""), std::string::npos);
   EXPECT_NE(j.find("\"tuples\":5000"), std::string::npos);
 }
 

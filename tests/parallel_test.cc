@@ -117,14 +117,14 @@ TEST_P(ExchangeWorkersTest, MorselScansCoverTableExactly) {
   auto ex = plan::Exchange(&ctx, nw, [&](ExecContext* wctx, int w, int n) {
     auto s = plan::Scan(wctx, *t,
                         {.cols = {"k", "v"}, .morsel = {w, n}});
-    return plan::HashAggr(wctx, std::move(s), {}, aggrs());
+    return plan::Aggr(wctx, std::move(s), {}, aggrs());
   });
   auto merged =
-      plan::HashAggr(&ctx, std::move(ex), {}, MergeAggrSpecs(aggrs()));
+      plan::Aggr(&ctx, std::move(ex), {}, MergeAggrSpecs(aggrs()));
   std::unique_ptr<Table> par = RunPlan(std::move(merged), "par");
 
-  auto ser = plan::HashAggr(&ctx, plan::Scan(&ctx, *t, {"k", "v"}), {},
-                            aggrs());
+  auto ser = plan::Aggr(&ctx, plan::Scan(&ctx, *t, {"k", "v"}), {},
+                        aggrs());
   std::unique_ptr<Table> serial = RunPlan(std::move(ser), "serial");
   ExpectTablesEqual(*serial, *par);
 }

@@ -2,8 +2,11 @@
 // promotion), immutable fragments with delta updates, Reorganize, summary
 // indices (pruning soundness as a property test), join indices, ColumnBM.
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +38,66 @@ TEST(ColumnTest, PlainTypesRoundTrip) {
   cs.AppendStr("hello");
   cs.AppendStr("world");
   EXPECT_STREQ(cs.GetStr(1), "world");
+}
+
+TEST(ColumnTest, AppendGatherCopiesSelectedValuesOfEveryWidth) {
+  // One gather per selection vector appends after existing rows, for each
+  // physical width, and matches appending the same positions one by one.
+  const int sel[] = {0, 2, 3, 6};
+  const int8_t i8[] = {-1, 2, -3, 4, 5, 6, -7};
+  const int16_t i16[] = {-100, 2, 300, -4, 5, 6, 7000};
+  const int32_t i32[] = {-100000, 2, 3, 400000, 5, 6, 7};
+  const double f64[] = {0.5, -1.5, 2.5, -0.0, 4.5, 5.5, 6.5};
+  struct Case {
+    TypeId type;
+    const void* data;
+  };
+  for (const Case& cs : {Case{TypeId::kI8, i8}, Case{TypeId::kI16, i16},
+                         Case{TypeId::kI32, i32}, Case{TypeId::kF64, f64}}) {
+    Column g(cs.type), one(cs.type);
+    g.AppendRaw(cs.data, 1);
+    one.AppendRaw(cs.data, 1);
+    g.AppendGather(cs.data, sel, 4);
+    g.AppendGather(cs.data, sel + 1, 0);
+    size_t w = TypeWidth(cs.type);
+    for (int s : sel) {
+      one.AppendRaw(static_cast<const char*>(cs.data) + s * w, 1);
+    }
+    ASSERT_EQ(g.size(), 5);
+    ASSERT_EQ(g.bytes(), one.bytes());
+    EXPECT_EQ(std::memcmp(g.raw(), one.raw(), g.bytes()), 0);
+  }
+}
+
+TEST(ColumnTest, OrderOfPrefixesAndConcurrentReaders) {
+  Column c(TypeId::kI32);
+  for (int32_t v : {3, 5, 5, 9, 4, 10}) c.AppendI64(v);
+  // Four sessions ask for the full column at once; all agree.
+  std::vector<std::thread> readers;
+  std::atomic<int> unsorted{0};
+  for (int t = 0; t < 4; t++) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < 100; i++) unsorted += !c.OrderOf(6).non_decreasing;
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(unsorted.load(), 400);
+  // Another prefix is answered for that prefix, not from the kept answer.
+  Column::Order o = c.OrderOf(4);
+  EXPECT_TRUE(o.non_decreasing);
+  EXPECT_EQ(o.first, 3);
+  EXPECT_EQ(o.last, 9);
+  EXPECT_FALSE(c.OrderOf(5).non_decreasing);
+  EXPECT_TRUE(c.OrderOf(0).non_decreasing);
+  // Appends leave a prefix's answer valid.
+  c.AppendI64(1);
+  EXPECT_TRUE(c.OrderOf(4).non_decreasing);
+  EXPECT_FALSE(c.OrderOf(7).non_decreasing);
+  Column f(TypeId::kF64), e(TypeId::kI32, /*enum_encoded=*/true);
+  f.AppendF64(1.0);
+  e.AppendI64(1);
+  EXPECT_FALSE(f.OrderOf(1).non_decreasing);
+  EXPECT_FALSE(e.OrderOf(1).non_decreasing);
 }
 
 TEST(ColumnTest, EnumEncodingSharesDictionary) {

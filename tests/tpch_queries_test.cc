@@ -222,7 +222,7 @@ TEST(TpchFetchNJoin, OrdersRangeFetchMatchesHashJoin) {
 TEST(TpchPlans, Q9PartFirstFilterBitIdenticalToLineitemSideFilter) {
   // Q9 filters p_name on part and semi-joins lineitem against the survivors.
   // The plan it replaced fetched p_name into every lineitem row and filtered
-  // there; both feed HashAggr in lineitem scan order, so the sums must agree
+  // there; both feed Aggr in lineitem scan order, so the sums must agree
   // exactly.
   DbgenOptions opts;
   opts.scale_factor = 0.02;
@@ -258,8 +258,8 @@ TEST(TpchPlans, Q9PartFirstFilterBitIdenticalToLineitemSideFilter) {
   li = plan::Project(&ctx, std::move(li), std::move(proj));
   std::vector<AggrSpec> aggrs;
   aggrs.push_back(Sum("sum_profit", Col("amount")));
-  li = plan::HashAggr(&ctx, std::move(li), {"nation", "o_year"},
-                      std::move(aggrs));
+  li = plan::Aggr(&ctx, std::move(li), {"nation", "o_year"},
+                  std::move(aggrs));
   li = plan::Order(&ctx, std::move(li), {Asc("nation"), Desc("o_year")});
   std::unique_ptr<Table> lineitem_side = RunPlan(std::move(li), "q9_old");
 
@@ -292,7 +292,7 @@ bool Has(const std::vector<std::string>& v, const std::string& x) {
 // Which aggregation ran the per-order sub-plans of Q18 and Q21.
 void ExpectPerOrderAggr(ExecContext ctx, const Catalog& db,
                         const std::string& expected) {
-  const std::string other = expected == "OrdAggr" ? "HashAggr" : "OrdAggr";
+  const std::string other = expected == "OrdAggr" ? "Aggr" : "OrdAggr";
   QueryTrace trace;
   ctx.trace = &trace;
   RunX100Query(18, &ctx, db);
@@ -363,7 +363,7 @@ TEST(TpchUpdates, PerOrderQueriesMatchMilAfterOutOfOrderAppend) {
               sum_qty + 50);
   }
   EXPECT_EQ(found, sum_qty + 50 > 300.0);
-  ExpectPerOrderAggr(ExecContext(), *db, "HashAggr");
+  ExpectPerOrderAggr(ExecContext(), *db, "Aggr");
 }
 
 TEST(TpchUpdates, PerOrderQueriesMatchMilAfterAppendAboveMaxKey) {
@@ -427,7 +427,7 @@ TEST(TpchUpdates, PerOrderQueriesMatchMilAfterAppendAboveMaxKey) {
 }
 
 TEST(TpchPlans, PerOrderSubPlansRunOnOrderedAggregation) {
-  // dbgen data is clustered on l_orderkey: a silent fallback to HashAggr
+  // dbgen data is clustered on l_orderkey: a silent fallback to Aggr
   // (the clustering check failing) must fail here, not just run slower.
   DbgenOptions opts;
   opts.scale_factor = 0.01;
@@ -440,7 +440,7 @@ TEST(TpchPlans, PerOrderSubPlansRunOnOrderedAggregation) {
 
 TEST(TpchPlans, Q21MinMaxPlanBitIdenticalToDistinctCountPlan) {
   // The plan Q21 replaced: distinct (l_orderkey, l_suppkey) pairs, then a
-  // count per order, each through HashAggr. Min/max per order must select
+  // count per order, each through Aggr. Min/max per order must select
   // exactly the same orders, in the same order.
   DbgenOptions opts;
   opts.scale_factor = 0.02;
@@ -452,10 +452,10 @@ TEST(TpchPlans, Q21MinMaxPlanBitIdenticalToDistinctCountPlan) {
   const Table& lineitem = db->Get("lineitem");
 
   auto distinct_count = [&](plan::OpPtr pairs, const char* cnt) {
-    pairs = plan::HashAggr(&ctx, std::move(pairs), {"l_orderkey", "l_suppkey"},
-                           {});
-    return plan::HashAggr(&ctx, std::move(pairs), {"l_orderkey"},
-                          AG(CountAll(cnt)));
+    pairs = plan::Aggr(&ctx, std::move(pairs), {"l_orderkey", "l_suppkey"},
+                       {});
+    return plan::Aggr(&ctx, std::move(pairs), {"l_orderkey"},
+                      AG(CountAll(cnt)));
   };
   auto multi = distinct_count(
       plan::Scan(&ctx, lineitem, {"l_orderkey", "l_suppkey"}), "nsupp");
@@ -523,8 +523,8 @@ TEST(TpchPlans, Q21MinMaxPlanBitIdenticalToDistinctCountPlan) {
                       {.probe_keys = {"l_orderkey"},
                        .build_keys = {"l_orderkey"},
                        .probe_out = {"s_name"}});
-  l1 = plan::HashAggr(&ctx, std::move(l1), {"s_name"},
-                      AG(CountAll("numwait")));
+  l1 = plan::Aggr(&ctx, std::move(l1), {"s_name"},
+                  AG(CountAll("numwait")));
   l1 = plan::TopN(&ctx, std::move(l1), {Desc("numwait"), Asc("s_name")}, 100);
   std::unique_ptr<Table> old_q21 = RunPlan(std::move(l1), "q21_old");
 
