@@ -1,8 +1,8 @@
 // Reproduces Table 5: the X100 per-primitive trace of TPC-H Q1 — for each
 // vectorized primitive the tuple count, data volume, time, bandwidth and
-// cycles per tuple, plus the coarser per-operator rollup. The paper's shape:
-// map primitives in ~2-3 cycles/tuple, fetch (enum decode) <2, aggregates ~6,
-// with in-cache bandwidths far above RAM bandwidth.
+// cycles per tuple, plus each operator's own share of the time. The paper's
+// shape: map primitives in ~2-3 cycles/tuple, fetch (enum decode) <2,
+// aggregates ~6, with in-cache bandwidths far above RAM bandwidth.
 //
 // On machines with perf access this grows into the full Table-5-style
 // evidence the paper argues from: per-primitive instructions, IPC and
@@ -48,7 +48,8 @@ int main() {
   std::printf("Table 5 analogue: X100 trace of TPC-H Q1, SF=%.4g\n\n", sf);
   std::printf("%-12s %8s %10s %9s %8s  %s\n", "input count", "MB", "time(us)",
               "MB/s", "cyc/tup", "X100 primitive");
-  // Primitive rows first (paper order: pipeline order), operator rollups after.
+  // Primitive rows first, in pipeline order as in the paper; operator rows
+  // after, each the operator's self time net of its primitives.
   for (const auto& [name, s] : profiler.Rows()) {
     bool is_operator = name.find('_') == std::string::npos;
     if (is_operator) continue;

@@ -5,8 +5,9 @@
 // histograms. The engine's subsystems (ColumnBM, joins, aggregation, dbgen)
 // register what they observe here; benches and the EXPLAIN ANALYZE runner
 // snapshot the registry and render it to JSON so every run leaves
-// machine-readable evidence. Complements the Profiler, which traces one
-// query's primitives — the registry accumulates process-wide.
+// machine-readable evidence. Complements the trace tree (common/profiling.h),
+// which traces one query's operators and primitives — the registry
+// accumulates process-wide.
 
 #include <atomic>
 #include <cstdint>

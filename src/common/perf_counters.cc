@@ -214,7 +214,6 @@ namespace {
 
 struct ThreadPerfState {
   std::unique_ptr<PerfCounterGroup> group;  // created once, cached
-  PerfCounterGroup* current = nullptr;      // non-null while installed
   int depth = 0;
 };
 
@@ -225,7 +224,9 @@ ThreadPerfState& State() {
 
 }  // namespace
 
-PerfCounterGroup* CurrentThreadPerfGroup() { return State().current; }
+namespace perf_internal {
+constinit thread_local PerfCounterGroup* current_group = nullptr;
+}  // namespace perf_internal
 
 PerfCounterValues ReadThreadPerfCounters() {
   PerfCounterValues v;
@@ -258,7 +259,7 @@ ScopedPerfThread::ScopedPerfThread(bool want) {
   installed_ = true;
   group_ = st.group.get();
   if (st.depth++ == 0) {
-    st.current = group_;
+    perf_internal::current_group = group_;
     group_->Enable();
     MaybeCheckCalibration(group_);
   }
@@ -268,7 +269,7 @@ ScopedPerfThread::~ScopedPerfThread() {
   if (!installed_) return;
   ThreadPerfState& st = State();
   if (--st.depth == 0) {
-    st.current = nullptr;
+    perf_internal::current_group = nullptr;
     st.group->Disable();
   }
 }

@@ -19,8 +19,8 @@
 //
 // Threading model: a group counts the thread that created it (pid=0,
 // cpu=-1). ScopedPerfThread installs a lazily-created, cached group as the
-// calling thread's current group; measurement sites (ScopedCycles,
-// InstrumentedOperator, MeasureReps, QueryService drivers) read deltas from
+// calling thread's current group; measurement sites (ScopedCounters,
+// MeasureReps, QueryService drivers) read deltas from
 // CurrentThreadPerfGroup() and accumulate them into their own stats.
 // Exchange workers each install their own group; their per-node values are
 // summed at trace-merge, exactly like cycles.
@@ -137,9 +137,16 @@ class PerfCounterGroup {
   int num_open_ = 0;
 };
 
+namespace perf_internal {
+/// The calling thread's installed group (set by ScopedPerfThread).
+extern constinit thread_local PerfCounterGroup* current_group;
+}  // namespace perf_internal
+
 /// The calling thread's installed group, or null when none is installed
 /// (plain runs pay one thread-local load and nothing else).
-PerfCounterGroup* CurrentThreadPerfGroup();
+inline PerfCounterGroup* CurrentThreadPerfGroup() {
+  return perf_internal::current_group;
+}
 
 /// Reads CurrentThreadPerfGroup() into a snapshot; absent (empty mask) when
 /// no group is installed or the read degraded.

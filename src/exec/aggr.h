@@ -72,9 +72,9 @@ class GroupAggrOp : public Operator {
   VectorBatch* Next() override;
   void Close() override;
 
-  /// EXPLAIN ANALYZE node (wired by the plan::Aggr factory): fused-chain
-  /// steps in the aggregate inputs attach their fused[...] nodes here, and
-  /// Close() adds the aggr.* path counters and the table's ht.* counters.
+  /// Trace node (wired by the plan::Aggr factory): the input, group-id and
+  /// update primitives hang their leaves here, and Close() adds the aggr.*
+  /// path counters and the table's ht.* counters.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:
@@ -107,9 +107,9 @@ class OrdAggrOp : public Operator {
   VectorBatch* Next() override;
   void Close() override;
 
-  /// EXPLAIN ANALYZE hook (set by the plan factory): fused-chain steps in
-  /// the aggregate inputs attach their fused[...] trace nodes here, and
-  /// Close() adds the ord.groups / ord.max_retained counters.
+  /// Trace hook (set by the plan factory): the input and update primitives
+  /// hang their leaves here, and Close() adds the ord.groups /
+  /// ord.max_retained counters.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:

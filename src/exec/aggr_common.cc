@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "exec/aggr_internal.h"
+#include "exec/trace.h"
 
 namespace x100 {
 
@@ -84,8 +85,9 @@ struct AggrState::Block {
   Buffer state;                 // rows_ rows
   Buffer init;                  // one initialized row
   const AggrPrimitive* prim = nullptr;
-  PrimitiveStats* stats = nullptr;
+  std::string name;                // prim's registered name
   size_t bytes_per_tuple = 0;      // input widths plus the group id
+  TraceNode* leaf = nullptr;
   std::vector<AggrRowSlot> slots;  // row pass only (more than one member)
   std::vector<const void*> cols;   // row pass: the slots' input columns
   AggrRowLayout layout;
@@ -185,12 +187,12 @@ AggrState::AggrState(ExecContext* ctx, const Schema& child,
         default: X100_CHECK(false);
       }
     }
-    std::string name = "aggr_rows";
     if (b.members.size() == 1) {
       b.prim = prims[b.members[0]];
-      name = names[b.members[0]];
+      b.name = names[b.members[0]];
     } else {
-      b.prim = PrimitiveRegistry::Get().FindAggr(name);
+      b.name = "aggr_rows";
+      b.prim = PrimitiveRegistry::Get().FindAggr(b.name);
       for (size_t m : b.members) {
         b.slots.push_back({kinds[m], static_cast<uint32_t>(aggrs_[m].offset)});
       }
@@ -201,7 +203,12 @@ AggrState::AggrState(ExecContext* ctx, const Schema& child,
       b.layout.stride = b.stride;
     }
     b.bytes_per_tuple += grouped ? sizeof(uint32_t) : 0;
-    b.stats = ctx->profiler ? ctx->profiler->GetStats(name) : nullptr;
+  }
+}
+
+void AggrState::TraceUpdates(ExecContext* ctx, TraceNode* trace_parent) {
+  for (Block& b : blocks_) {
+    b.leaf = PrimitiveLeaf(ctx, trace_parent, b.name, b.bytes_per_tuple);
   }
 }
 
@@ -250,15 +257,8 @@ void AggrState::Update(VectorBatch* batch, const uint32_t* groups) {
       }
       col = &b.layout;
     }
-    if (b.stats) {
-      ScopedCycles cycles(b.stats);
-      b.prim->fn(n, b.state.data(), groups, col, sel);
-      b.stats->calls++;
-      b.stats->tuples += static_cast<uint64_t>(n);
-      b.stats->bytes += static_cast<uint64_t>(n) * b.bytes_per_tuple;
-    } else {
-      b.prim->fn(n, b.state.data(), groups, col, sel);
-    }
+    TimedCall(b.leaf, n,
+              [&] { b.prim->fn(n, b.state.data(), groups, col, sel); });
   }
 }
 

@@ -79,9 +79,8 @@ void GatherKeys(void* dst, const void* src, const int* pos, int n) {
 }  // namespace
 
 // Grouped aggregation (§4.1.2). Per input vector, a chain of map primitives
-// gives each live tuple an id, the operator loop (the Aggr row of a
-// Profiler trace) turns ids into group rows, and the shared aggregate step
-// updates the accumulators. Two id sources:
+// gives each live tuple an id, the operator loop turns ids into group rows,
+// and the shared aggregate step updates the accumulators. Two id sources:
 //
 //   direct: map_directgrp (one key, or two of one type) and map_redirectgrp
 //   (each further key) compute sum (k_c - base_c) x stride_c over the key
@@ -105,12 +104,12 @@ struct GroupAggrOp::Impl {
   // A bound primitive of an id pipeline (direct ids or hashes).
   struct Step {
     const MapPrimitive* prim;
-    PrimitiveStats* stats;
-    size_t bytes_per_tuple;
+    TraceNode* leaf;
   };
 
   std::unique_ptr<AggrState> aggrs;
   ExecContext* ctx = nullptr;
+  TraceNode* trace_node = nullptr;
 
   std::vector<int> key_cols;  // child schema indices
   std::vector<TypeId> key_types;
@@ -141,7 +140,6 @@ struct GroupAggrOp::Impl {
   std::vector<Step> hash_steps;
   Vector hash_a, hash_b;
 
-  PrimitiveStats* op_stats = nullptr;
   uint64_t input_tuples = 0;
 
   // Drain state.
@@ -152,21 +150,12 @@ struct GroupAggrOp::Impl {
   Step Bind(const std::string& name, size_t bytes_per_tuple) const {
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     X100_CHECK(prim != nullptr);
-    return {prim, ctx->profiler ? ctx->profiler->GetStats(name) : nullptr,
-            bytes_per_tuple};
+    return {prim, PrimitiveLeaf(ctx, trace_node, name, bytes_per_tuple)};
   }
 
   static void Run(const Step& s, int n, void* res, const void* const* args,
                   const int* sel) {
-    if (s.stats) {
-      ScopedCycles cyc(s.stats);
-      s.prim->fn(n, res, args, sel);
-      s.stats->calls++;
-      s.stats->tuples += static_cast<uint64_t>(n);
-      s.stats->bytes += static_cast<uint64_t>(n) * s.bytes_per_tuple;
-    } else {
-      s.prim->fn(n, res, args, sel);
-    }
+    TimedCall(s.leaf, n, [&] { s.prim->fn(n, res, args, sel); });
   }
 
   // The key columns of `batch`.
@@ -351,10 +340,7 @@ struct GroupAggrOp::Impl {
     const std::vector<const void*>& cols = BatchKeys(batch);
     for (;;) {
       const uint32_t* ids = DirectIds(cols, n, sel);
-      uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
-      bool done = ToRows(cols, ids, n, sel);
-      if (op_stats) op_stats->cycles += ReadCycleCounter() - t0;
-      if (done) return true;
+      if (ToRows(cols, ids, n, sel)) return true;
       if (!Rebase(cols, n, sel)) return false;
     }
   }
@@ -436,7 +422,6 @@ struct GroupAggrOp::Impl {
     const uint64_t* hashes = Hashes(cols, n, sel);
     // Reserve up front: every tuple of the batch could be a new group, and
     // growth must stay off the probe path.
-    uint64_t t0 = op_stats ? ReadCycleCounter() : 0;
     table.Reserve(static_cast<size_t>(n));
     table.ProbeBegin(&probe, hashes, sel, n);
     while (int nc = table.ProbeRound(&probe)) {
@@ -469,7 +454,6 @@ struct GroupAggrOp::Impl {
       }
       groups[i] = g;
     }
-    if (op_stats) op_stats->cycles += ReadCycleCounter() - t0;
   }
 };
 
@@ -491,6 +475,7 @@ void GroupAggrOp::Open() {
   impl_ = std::make_unique<Impl>();
   Impl& im = *impl_;
   im.ctx = ctx_;
+  im.trace_node = trace_node_;
 
   im.aggrs = std::make_unique<AggrState>(ctx_, child_->schema(), specs_,
                                          !group_by_.empty(), "Aggr",
@@ -509,7 +494,6 @@ void GroupAggrOp::Open() {
   }
   im.key_store.resize(im.key_cols.size());
   im.groups = std::make_unique<uint32_t[]>(ctx_->vector_size);
-  im.op_stats = ctx_->profiler ? ctx_->profiler->GetStats("Aggr") : nullptr;
 
   if (im.direct) {
     // The first step starts ids from one key, or from two of one type.
@@ -542,6 +526,7 @@ void GroupAggrOp::Open() {
     im.num_groups = 1;
     im.aggrs->Grow(1);
   }
+  im.aggrs->TraceUpdates(ctx_, trace_node_);
 }
 
 void GroupAggrOp::Build() {
@@ -555,10 +540,6 @@ void GroupAggrOp::Build() {
     if (!im.key_cols.empty()) {
       if (im.direct && !im.AssignDirect(batch, n, sel)) im.SwitchToHash();
       if (!im.direct) im.AssignHashed(batch, n, sel);
-      if (im.op_stats) {
-        im.op_stats->calls++;
-        im.op_stats->tuples += static_cast<uint64_t>(n);
-      }
       im.aggrs->Grow(im.num_groups);
       groups = im.groups.get();
     }

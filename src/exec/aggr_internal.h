@@ -30,12 +30,18 @@ class AggrState {
  public:
   /// Binds the widened aggregate inputs against `child` and lays out the
   /// blocks. `grouped` is false for scalar aggregation (one group, no group
-  /// ids). `trace_parent` (optional): plan-trace node that fused-chain steps
-  /// in the inputs attach their fused[...] sub-nodes to.
+  /// ids). `trace_parent` (optional): the traced operator's node, which gets
+  /// a leaf per input step.
   AggrState(ExecContext* ctx, const Schema& child,
             const std::vector<AggrSpec>& specs, bool grouped,
             const std::string& label, TraceNode* trace_parent = nullptr);
   ~AggrState();
+
+  /// Hangs a leaf per block's update primitive under `trace_parent` (none
+  /// when it is null). Separate from binding so that an operator's group-id
+  /// steps can come in between: its leaves then follow the pipeline, inputs
+  /// first, updates last, as in Table 5.
+  void TraceUpdates(ExecContext* ctx, TraceNode* trace_parent);
 
   /// Appends one output field per aggregate, typed by its accumulator.
   void AddFields(Schema* schema) const;

@@ -176,6 +176,7 @@ void OrdAggrOp::Open() {
 
   im.aggrs = std::make_unique<AggrState>(ctx_, child_->schema(), specs_, true,
                                          "OrdAggr", trace_node_);
+  im.aggrs->TraceUpdates(ctx_, trace_node_);
   schema_ = Schema();
   im.key_cols = aggr_internal::BuildAggrSchema(child_->schema(), group_by_,
                                                *im.aggrs, &schema_);

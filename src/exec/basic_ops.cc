@@ -10,31 +10,19 @@ SelectOp::SelectOp(ExecContext* ctx, std::unique_ptr<Operator> child, ExprPtr pr
     : ctx_(ctx), child_(std::move(child)), pred_(std::move(pred)) {
   // Bind once now so a malformed predicate fails at construction (dictionary
   // bases may still be unresolved; the Open()-time bind is authoritative).
-  // The probe leaves no profiler rows behind: Table 5 lists primitives in
-  // the order the authoritative binds register them.
-  ExecContext probe_ctx = *ctx_;
-  probe_ctx.profiler = nullptr;
-  PredicateEvaluator probe(&probe_ctx, child_->schema(), *pred_, "Select");
+  PredicateEvaluator probe(ctx_, child_->schema(), *pred_, "Select");
 }
 
 void SelectOp::Open() {
   child_->Open();
   eval_ = std::make_unique<PredicateEvaluator>(ctx_, child_->schema(), *pred_,
                                                "Select", trace_node_);
-  stats_ = ctx_->profiler ? ctx_->profiler->GetStats("Select") : nullptr;
 }
 
 VectorBatch* SelectOp::Next() {
   while (VectorBatch* batch = child_->Next()) {
-    uint64_t t0 = stats_ ? ReadCycleCounter() : 0;
-    int in = batch->sel_count();
     int k = eval_->Eval(batch, batch->mutable_sel()->data());
     batch->ActivateSel(k);
-    if (stats_) {
-      stats_->calls++;
-      stats_->tuples += static_cast<uint64_t>(in);
-      stats_->cycles += ReadCycleCounter() - t0;
-    }
     if (k == 0) continue;  // nothing qualified; pull the next vector
     return batch;
   }
@@ -73,14 +61,11 @@ void ProjectOp::Open() {
   out_ = VectorBatch(schema_, ctx_->vector_size);
   const_bufs_.clear();
   const_bufs_.resize(exprs_.size());
-  stats_ = ctx_->profiler ? ctx_->profiler->GetStats("Project") : nullptr;
 }
 
 VectorBatch* ProjectOp::Next() {
   VectorBatch* batch = child_->Next();
   if (batch == nullptr) return nullptr;
-  uint64_t t0 = stats_ ? ReadCycleCounter() : 0;
-
   eval_->Eval(batch);
   for (int i = 0; i < schema_.num_fields(); i++) {
     MultiExprEvaluator::Out r = eval_->Result(i, batch);
@@ -113,11 +98,6 @@ VectorBatch* ProjectOp::Next() {
     out_.ActivateSel(batch->sel_count());
   } else {
     out_.ClearSel();
-  }
-  if (stats_) {
-    stats_->calls++;
-    stats_->tuples += static_cast<uint64_t>(batch->sel_count());
-    stats_->cycles += ReadCycleCounter() - t0;
   }
   return &out_;
 }

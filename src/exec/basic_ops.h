@@ -21,8 +21,8 @@ class SelectOp : public Operator {
   VectorBatch* Next() override;
   void Close() override { child_->Close(); }
 
-  /// EXPLAIN ANALYZE hook (set by the plan factory): fused-chain steps in
-  /// the predicate attach their fused[...] trace nodes under this node.
+  /// Trace hook (set by the plan factory): the predicate's primitive steps
+  /// hang their leaves under this node.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:
@@ -30,7 +30,6 @@ class SelectOp : public Operator {
   std::unique_ptr<Operator> child_;
   ExprPtr pred_;
   std::unique_ptr<PredicateEvaluator> eval_;
-  PrimitiveStats* stats_ = nullptr;
   TraceNode* trace_node_ = nullptr;
 };
 
@@ -49,8 +48,8 @@ class ProjectOp : public Operator {
   VectorBatch* Next() override;
   void Close() override { child_->Close(); }
 
-  /// EXPLAIN ANALYZE hook (set by the plan factory): fused-chain steps in
-  /// the projection attach their fused[...] trace nodes under this node.
+  /// Trace hook (set by the plan factory): the projection's primitive steps
+  /// hang their leaves under this node.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:
@@ -61,7 +60,6 @@ class ProjectOp : public Operator {
   std::unique_ptr<MultiExprEvaluator> eval_;
   VectorBatch out_;
   std::vector<Vector> const_bufs_;  // broadcast constants
-  PrimitiveStats* stats_ = nullptr;
   TraceNode* trace_node_ = nullptr;
 };
 

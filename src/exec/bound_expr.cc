@@ -190,9 +190,26 @@ const char** Program::StoreStrConst(const std::string& s) {
   return &slot.sptr;
 }
 
-PrimitiveStats* Program::Stats(const std::string& prim_name) {
-  if (ctx_->profiler == nullptr) return nullptr;
-  return ctx_->profiler->GetStats(prim_name);
+TraceNode* Program::Leaf(std::string name, uint64_t bytes_per_tuple,
+                         std::string detail) {
+  return PrimitiveLeaf(ctx_, trace_parent_, std::move(name), bytes_per_tuple,
+                       std::move(detail));
+}
+
+ValueNode Program::Emit(const std::string& name, const MapPrimitive* prim,
+                        std::vector<ArgRef> args, TypeId type,
+                        size_t bytes_per_tuple, std::string detail) {
+  MapStep step;
+  step.prim = prim;
+  step.args = std::move(args);
+  step.res_reg = AllocReg(type);
+  step.leaf = Leaf(name, bytes_per_tuple, std::move(detail));
+  steps_.push_back(std::move(step));
+  ValueNode out;
+  out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true,
+             TypeWidth(type)};
+  out.type = type;
+  return out;
 }
 
 ValueNode Program::Decode(ValueNode node) {
@@ -207,18 +224,10 @@ ValueNode Program::Decode(ValueNode node) {
   const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
   X100_CHECK(prim != nullptr);
 
-  MapStep step;
-  step.prim = prim;
-  step.args.push_back(node.ref);
-  step.args.push_back({ArgRef::Src::kDictBase, 0, node.dict.base, false, 0});
-  step.res_reg = AllocReg(value_type);
-  step.stats = Stats(name);
-  step.bytes_per_tuple = TypeWidth(node.type) + TypeWidth(value_type);
-  steps_.push_back(std::move(step));
-
-  ValueNode out;
-  out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true,
-             TypeWidth(value_type)};
+  ValueNode out =
+      Emit(name, prim,
+           {node.ref, {ArgRef::Src::kDictBase, 0, node.dict.base, false, 0}},
+           value_type, TypeWidth(node.type) + TypeWidth(value_type));
   out.type = PrimType(value_type);
   memo_[key] = out;
   return out;
@@ -245,18 +254,8 @@ ValueNode Program::Cast(ValueNode node, TypeId to) {
                                 TypeName(node.type) + " to " + TypeName(to));
   }
 
-  MapStep step;
-  step.prim = prim;
-  step.args.push_back(node.ref);
-  step.res_reg = AllocReg(to);
-  step.stats = Stats(name);
-  step.bytes_per_tuple = TypeWidth(node.type) + TypeWidth(to);
-  steps_.push_back(std::move(step));
-
-  ValueNode out;
-  out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, TypeWidth(to)};
-  out.type = to;
-  return out;
+  return Emit(name, prim, {node.ref}, to,
+              TypeWidth(node.type) + TypeWidth(to));
 }
 
 std::string Program::NoteSubtreeUses(const Expr& expr) {
@@ -491,38 +490,26 @@ bool Program::TryFuseChain(const Schema& input, const Expr& expr,
   }
 
   // --- Emit phase: bind the leaves, then one fused step. ---
-  MapStep step;
-  step.prim = prim;
+  std::vector<ArgRef> args;
   int ncols = 0;
   for (const Link& l : chain) {
     for (const Expr* leaf : {l.leaf0, l.leaf1}) {
       if (leaf == nullptr) continue;
       if (leaf->kind() == Expr::Kind::kConst) {
-        step.args.push_back(
+        args.push_back(
             {ArgRef::Src::kConst, 0, StoreConst(leaf->value(), T), false, 0});
       } else {
         ValueNode n = Cast(Decode(BindValue(input, *leaf)), T);
         X100_CHECK(n.ref.is_col);
-        step.args.push_back(n.ref);
+        args.push_back(n.ref);
         ncols++;
       }
     }
   }
-  X100_CHECK(static_cast<int>(step.args.size()) == prim->num_args);
-  step.res_reg = AllocReg(T);
-  step.stats = Stats(name);
-  step.bytes_per_tuple = TypeWidth(T) * (1 + ncols);
-  step.saved_bytes_per_tuple = saved;
-  if (trace_parent_ != nullptr && ctx_->trace != nullptr) {
-    step.tnode = ctx_->trace->NewNode(fused::DisplayName(sig), name, {});
-    ctx_->trace->AttachChild(trace_parent_, step.tnode);
-  }
-  steps_.push_back(std::move(step));
-
-  out->ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true,
-              TypeWidth(T)};
-  out->type = T;
-  out->dict = DictRef{};
+  X100_CHECK(static_cast<int>(args.size()) == prim->num_args);
+  *out = Emit(name, prim, std::move(args), T, TypeWidth(T) * (1 + ncols),
+              fused::DisplayName(sig));
+  steps_.back().saved_bytes_per_tuple = saved;
   return true;
 }
 
@@ -600,17 +587,7 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
     std::string name = "map_" + fn + "_" + PrimTypeName(t) + "_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     X100_CHECK(prim != nullptr);
-    MapStep step;
-    step.prim = prim;
-    step.args.push_back(a.ref);
-    step.res_reg = AllocReg(t);
-    step.stats = Stats(name);
-    step.bytes_per_tuple = 2 * TypeWidth(t);
-    steps_.push_back(std::move(step));
-    ValueNode out;
-    out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, TypeWidth(t)};
-    out.type = t;
-    return out;
+    return Emit(name, prim, {a.ref}, t, 2 * TypeWidth(t));
   }
 
   // Explicit cast functions used by plans: dbl(x), i64(x).
@@ -629,17 +606,7 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
     }
     std::string name = "map_year_i32_col";
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
-    MapStep step;
-    step.prim = prim;
-    step.args.push_back(a.ref);
-    step.res_reg = AllocReg(TypeId::kI32);
-    step.stats = Stats(name);
-    step.bytes_per_tuple = 8;
-    steps_.push_back(std::move(step));
-    ValueNode out;
-    out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, 4};
-    out.type = TypeId::kI32;
-    return out;
+    return Emit(name, prim, {a.ref}, TypeId::kI32, 8);
   }
 
   // widen(x): decode and promote to an aggregation-friendly type
@@ -680,18 +647,9 @@ ValueNode Program::BindCall(const Schema& input, const Expr& expr) {
     throw std::invalid_argument(label_ + ": function '" + fn +
                                 "' has no primitive '" + name + "'");
   }
-  MapStep step;
-  step.prim = prim;
-  step.args = {l.ref, r.ref};
-  step.res_reg = AllocReg(t);
-  step.stats = Stats(name);
-  step.bytes_per_tuple = TypeWidth(t) * (1 + (l.ref.is_col ? 1 : 0) +
-                                         (r.ref.is_col ? 1 : 0));
-  steps_.push_back(std::move(step));
-  ValueNode out;
-  out.ref = {ArgRef::Src::kReg, steps_.back().res_reg, nullptr, true, TypeWidth(t)};
-  out.type = t;
-  return out;
+  return Emit(name, prim, {l.ref, r.ref}, t,
+              TypeWidth(t) * (1 + (l.ref.is_col ? 1 : 0) +
+                              (r.ref.is_col ? 1 : 0)));
 }
 
 const void* Program::ArgPtr(const ArgRef& a, VectorBatch* batch) {
@@ -707,7 +665,7 @@ const void* Program::ArgPtr(const ArgRef& a, VectorBatch* batch) {
   return nullptr;
 }
 
-void Program::RunSteps(VectorBatch* batch) {
+void Program::RunSteps(VectorBatch* batch, CallLap* lap) {
   X100_CHECK(batch->count() <= ctx_->vector_size);
   const int* sel = batch->sel();
   int n = batch->sel_count();
@@ -718,31 +676,12 @@ void Program::RunSteps(VectorBatch* batch) {
       args[i] = ArgPtr(step.args[i], batch);
     }
     void* res = registers_[step.res_reg].data();
-    auto run = [&] {
-      if (step.stats) {
-        ScopedCycles cycles(step.stats);
-        step.prim->fn(n, res, args, sel);
-        step.stats->calls++;
-        step.stats->tuples += n;
-        step.stats->bytes += static_cast<uint64_t>(n) * step.bytes_per_tuple;
-      } else {
-        step.prim->fn(n, res, args, sel);
-      }
-    };
-    if (step.tnode != nullptr) {
-      // Fused steps show up in EXPLAIN ANALYZE as their own plan node under
-      // the operator that bound them.
-      step.tnode->next_calls++;
-      step.tnode->batches++;
-      step.tnode->tuples += static_cast<uint64_t>(n);
-      step.tnode->AddCounter(
-          "map.fused.saved_bytes",
-          static_cast<uint64_t>(n) * step.saved_bytes_per_tuple);
-      ScopedCounters sc(step.tnode);
-      run();
-    } else {
-      run();
+    TraceNode* leaf = step.leaf;
+    if (leaf != nullptr && step.saved_bytes_per_tuple != 0) {
+      leaf->AddCounter("map.fused.saved_bytes",
+                       static_cast<uint64_t>(n) * step.saved_bytes_per_tuple);
     }
+    TimedCall(leaf, n, [&] { step.prim->fn(n, res, args, sel); }, lap);
   }
 }
 
@@ -764,7 +703,10 @@ MultiExprEvaluator::MultiExprEvaluator(ExecContext* ctx, const Schema& input,
   }
 }
 
-void MultiExprEvaluator::Eval(VectorBatch* batch) { program_.RunSteps(batch); }
+void MultiExprEvaluator::Eval(VectorBatch* batch) {
+  CallLap lap;
+  program_.RunSteps(batch, &lap);
+}
 
 MultiExprEvaluator::Out MultiExprEvaluator::Result(int i, VectorBatch* batch) {
   const bind_internal::ValueNode& node = results_[i];

@@ -41,11 +41,9 @@ struct MapStep {
   const MapPrimitive* prim = nullptr;
   std::vector<ArgRef> args;
   int res_reg = 0;
-  PrimitiveStats* stats = nullptr;
-  size_t bytes_per_tuple = 0;
-  /// Set on fused-chain steps when EXPLAIN ANALYZE tracing is on: the
-  /// fused[sub>mul]-style node accounting this kernel's tuples/cycles.
-  TraceNode* tnode = nullptr;
+  /// The step's primitive leaf when its operator is traced (a fused step's
+  /// detail is its fused[sub>mul]-style display name).
+  TraceNode* leaf = nullptr;
   /// Intermediate-vector traffic the fusion avoided (fused steps only):
   /// one store + one load per collapsed chain edge, per tuple.
   size_t saved_bytes_per_tuple = 0;
@@ -68,8 +66,8 @@ struct ValueNode {
 /// Shared state of a bound program: constants, registers, map steps, CSE memo.
 class Program {
  public:
-  /// `trace_parent`, when non-null with ctx->trace set, is the plan node
-  /// fused-chain steps hang their fused[...] trace nodes under.
+  /// `trace_parent`, when non-null, is the traced operator's node every bound
+  /// primitive step hangs its leaf under.
   Program(ExecContext* ctx, std::string label,
           TraceNode* trace_parent = nullptr)
       : ctx_(ctx), label_(std::move(label)), trace_parent_(trace_parent) {}
@@ -80,7 +78,9 @@ class Program {
   int AllocReg(TypeId t);
   const void* StoreConst(const Value& v, TypeId physical);
   const char** StoreStrConst(const std::string& s);
-  PrimitiveStats* Stats(const std::string& prim_name);
+  /// The leaf of a primitive this program binds (null when untraced).
+  TraceNode* Leaf(std::string name, uint64_t bytes_per_tuple,
+                  std::string detail = "");
 
   /// Pre-counts call-subtree occurrences across a program's expressions so
   /// the chain fuser refuses to absorb a shared subtree into a fused kernel
@@ -101,13 +101,21 @@ class Program {
   /// Inserts a cast step (or converts at bind time for constants).
   ValueNode Cast(ValueNode node, TypeId to);
 
-  /// Runs all map steps for the live positions of `batch`.
-  void RunSteps(VectorBatch* batch);
+  /// Runs all map steps for the live positions of `batch`, back to back as
+  /// one run of `lap`.
+  void RunSteps(VectorBatch* batch, CallLap* lap);
 
   /// Raw data pointer for an ArgRef given the current batch.
   const void* ArgPtr(const ArgRef& a, VectorBatch* batch);
 
  private:
+  /// Appends a map step running `prim` (registered as `name`) over `args`
+  /// into a fresh `type` register, with its primitive leaf under a traced
+  /// operator; returns where the result lives.
+  ValueNode Emit(const std::string& name, const MapPrimitive* prim,
+                 std::vector<ArgRef> args, TypeId type,
+                 size_t bytes_per_tuple, std::string detail = "");
+
   ValueNode BindCall(const Schema& input, const Expr& expr);
 
   /// Pattern-matches a fusable map-primitive chain rooted at `expr` and, on
@@ -143,8 +151,8 @@ class MultiExprEvaluator {
     bool is_col;  // false: `data` points at one constant to broadcast
   };
 
-  /// `trace_parent` (optional): plan-trace node fused-chain steps attach
-  /// their fused[...] sub-nodes to when EXPLAIN ANALYZE tracing is on.
+  /// `trace_parent` (optional): the traced operator's node, which gets one
+  /// primitive leaf per bound step.
   MultiExprEvaluator(ExecContext* ctx, const Schema& input,
                      const std::vector<const Expr*>& exprs,
                      const std::string& label,
@@ -201,7 +209,7 @@ class PredicateEvaluator {
   struct PredNode;
   std::unique_ptr<PredNode> BindPred(const Schema& input, const Expr& e);
   int EvalNode(PredNode* node, VectorBatch* batch, const int* sel, int n,
-               int* out_sel);
+               int* out_sel, CallLap* lap);
 
   bind_internal::Program program_;
   std::unique_ptr<PredNode> root_;

@@ -47,6 +47,8 @@ TraceNode* CloneTree(QueryTrace* dst, const TraceNode* src) {
   kids.reserve(src->children.size());
   for (const TraceNode* c : src->children) kids.push_back(CloneTree(dst, c));
   TraceNode* n = dst->NewNode(src->label, src->detail, std::move(kids));
+  n->primitive = src->primitive;
+  n->bytes_per_tuple = src->bytes_per_tuple;
   n->open_calls = src->open_calls;
   n->next_calls = src->next_calls;
   n->batches = src->batches;
@@ -57,10 +59,11 @@ TraceNode* CloneTree(QueryTrace* dst, const TraceNode* src) {
   return n;
 }
 
-/// Adds `src`'s counters into the structurally identical `dst` subtree.
-/// Worker pipelines come from one deterministic factory, so the shapes
-/// match by construction.
-void AccumulateTree(TraceNode* dst, const TraceNode* src) {
+/// Adds `src`'s counters into the matching `dst` subtree. Worker pipelines
+/// come from one deterministic factory, so the shapes match, except that a
+/// node may carry extra trailing leaves: an Aggr that left the direct path
+/// binds its hash steps then. Those are cloned into `dst`.
+void AccumulateTree(QueryTrace* trace, TraceNode* dst, const TraceNode* src) {
   dst->open_calls += src->open_calls;
   dst->next_calls += src->next_calls;
   dst->batches += src->batches;
@@ -68,9 +71,15 @@ void AccumulateTree(TraceNode* dst, const TraceNode* src) {
   dst->cycles += src->cycles;
   dst->perf.Add(src->perf);
   for (const auto& kv : src->counters) dst->AddCounter(kv.first, kv.second);
-  X100_CHECK(dst->children.size() == src->children.size());
-  for (size_t i = 0; i < dst->children.size(); i++) {
-    AccumulateTree(dst->children[i], src->children[i]);
+  for (size_t i = 0; i < src->children.size(); i++) {
+    const TraceNode* c = src->children[i];
+    if (i < dst->children.size()) {
+      X100_CHECK(dst->children[i]->label == c->label);
+      AccumulateTree(trace, dst->children[i], c);
+    } else {
+      X100_CHECK(c->primitive);
+      trace->AttachChild(dst, CloneTree(trace, c));
+    }
   }
 }
 
@@ -160,12 +169,11 @@ ExchangeOp::ExchangeOp(ExecContext* ctx, int num_workers, WorkerPlanFn factory,
                                        : std::max(2 * num_workers, 4);
   for (int w = 0; w < num_workers; w++) {
     auto wctx = std::make_unique<ExecContext>(*ctx);
-    // Workers are serial pipelines; the Profiler and its PrimitiveStats are
-    // not thread-safe, so the flat Table 5 trace stays a serial-plan tool.
-    wctx->profiler = nullptr;
+    // Workers are serial pipelines, each tracing into a tree of its own
+    // (trees are not thread-safe); Close() merges them into the plan's.
     wctx->num_threads = 1;
     wctx->trace = nullptr;
-    if (ctx->trace != nullptr) {
+    if (ctx->TraceTree() != nullptr) {
       worker_traces_.push_back(std::make_unique<QueryTrace>());
       wctx->trace = worker_traces_.back().get();
     }
@@ -203,7 +211,7 @@ void ExchangeOp::Open() {
 
   // Traced workers measure hardware counters on their own pool thread; the
   // per-worker deltas land in the worker trace and are summed at merge.
-  bool want_perf = ctx_->trace != nullptr;
+  bool want_perf = ctx_->TraceTree() != nullptr;
   for (auto& p : pipelines_) {
     ThreadPool::Shared().Submit([s = shared_, pipe = p.get(), want_perf] {
       ScopedPerfThread perf(want_perf);
@@ -275,7 +283,8 @@ void ExchangeOp::Close() {
 }
 
 void ExchangeOp::MergeWorkerTraces() {
-  if (traces_merged_ || worker_traces_.empty() || ctx_->trace == nullptr ||
+  QueryTrace* tree = ctx_->TraceTree();
+  if (traces_merged_ || worker_traces_.empty() || tree == nullptr ||
       trace_node_ == nullptr) {
     return;
   }
@@ -287,12 +296,12 @@ void ExchangeOp::MergeWorkerTraces() {
   // exchange's own wall cycles — that overlap is the parallelism).
   const QueryTrace& proto = *worker_traces_[0];
   for (size_t r = 0; r < proto.roots().size(); r++) {
-    TraceNode* merged = CloneTree(ctx_->trace, proto.roots()[r]);
+    TraceNode* merged = CloneTree(tree, proto.roots()[r]);
     for (size_t w = 1; w < worker_traces_.size(); w++) {
       X100_CHECK(worker_traces_[w]->roots().size() == proto.roots().size());
-      AccumulateTree(merged, worker_traces_[w]->roots()[r]);
+      AccumulateTree(tree, merged, worker_traces_[w]->roots()[r]);
     }
-    ctx_->trace->AttachChild(trace_node_, merged);
+    tree->AttachChild(trace_node_, merged);
   }
 }
 

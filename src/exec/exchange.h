@@ -20,7 +20,7 @@ namespace x100 {
 
 /// Builds worker `worker`'s pipeline (of `num_workers`). Called once per
 /// worker at ExchangeOp construction, on the constructing thread, with a
-/// per-worker ExecContext (serial, profiler-less, optionally wired to a
+/// per-worker ExecContext (serial; when the plan is traced, wired to a
 /// private QueryTrace). Factories typically pass {worker, num_workers} as
 /// the ScanSpec morsel so the pipelines read disjoint table shares.
 using WorkerPlanFn = std::function<std::unique_ptr<Operator>(

@@ -49,8 +49,9 @@ class HashJoinOp : public Operator {
   VectorBatch* Next() override;
   void Close() override;
 
-  /// EXPLAIN ANALYZE node that receives the table's ht.* counters at Close
-  /// (wired by the plan::Join factory).
+  /// Trace node (wired by the plan::Join factory): the filter and hash
+  /// primitives hang their leaves here, and Close() adds the table's ht.*
+  /// counters.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
  private:
@@ -123,6 +124,10 @@ class Fetch1JoinOp : public Operator {
   VectorBatch* Next() override;
   void Close() override { child_->Close(); }
 
+  /// Trace node (wired by the plan::Fetch1Join factory): the fetch
+  /// primitives hang their leaves here.
+  void set_trace_node(TraceNode* node) { trace_node_ = node; }
+
  private:
   struct Impl;
 
@@ -132,6 +137,7 @@ class Fetch1JoinOp : public Operator {
   std::string rowid_col_;
   std::vector<std::pair<std::string, std::string>> fetch_;
   Schema schema_;
+  TraceNode* trace_node_ = nullptr;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -3,6 +3,7 @@
 
 #include "exec/join.h"
 #include "exec/join_internal.h"
+#include "exec/trace.h"
 
 namespace x100 {
 
@@ -14,12 +15,11 @@ struct Fetch1JoinOp::Impl {
     const void* base;     // target fragment data (physical)
     size_t width;
     const MapPrimitive* prim;
-    PrimitiveStats* stats;
+    TraceNode* leaf;
     Vector result;
   };
   std::vector<FetchCol> fetches;
   VectorBatch out;
-  PrimitiveStats* op_stats = nullptr;
 };
 
 Fetch1JoinOp::Fetch1JoinOp(ExecContext* ctx, std::unique_ptr<Operator> child,
@@ -85,13 +85,11 @@ void Fetch1JoinOp::Open() {
     fc.base = col.raw();
     fc.width = TypeWidth(f->type);
     fc.prim = prim;
-    fc.stats = ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
+    fc.leaf = PrimitiveLeaf(ctx_, trace_node_, name, 8 + fc.width);
     fc.result.Allocate(f->type, ctx_->vector_size);
     im.fetches.push_back(std::move(fc));
   }
   im.out = VectorBatch(schema_, ctx_->vector_size);
-  im.op_stats =
-      ctx_->profiler ? ctx_->profiler->GetStats("Fetch1Join") : nullptr;
 
   // Positional fetch addresses immutable fragments only.
   X100_CHECK(target_.delta_rows() == 0 && target_.num_deleted() == 0);
@@ -101,7 +99,6 @@ VectorBatch* Fetch1JoinOp::Next() {
   Impl& im = *impl_;
   VectorBatch* batch = child_->Next();
   if (batch == nullptr) return nullptr;
-  uint64_t t0 = im.op_stats ? ReadCycleCounter() : 0;
 
   int n = batch->sel_count();
   const int* sel = batch->sel();
@@ -115,15 +112,7 @@ VectorBatch* Fetch1JoinOp::Next() {
   for (size_t fi = 0; fi < im.fetches.size(); fi++) {
     Impl::FetchCol& fc = im.fetches[fi];
     const void* args[2] = {rowids, fc.base};
-    if (fc.stats) {
-      ScopedCycles cyc(fc.stats);
-      fc.prim->fn(n, fc.result.data(), args, sel);
-      fc.stats->calls++;
-      fc.stats->tuples += static_cast<uint64_t>(n);
-      fc.stats->bytes += static_cast<uint64_t>(n) * (8 + fc.width);
-    } else {
-      fc.prim->fn(n, fc.result.data(), args, sel);
-    }
+    TimedCall(fc.leaf, n, [&] { fc.prim->fn(n, fc.result.data(), args, sel); });
     im.out.column(cs.num_fields() + static_cast<int>(fi))
         .SetView(schema_.field(cs.num_fields() + static_cast<int>(fi)).type,
                  fc.result.data(), batch->count());
@@ -135,11 +124,6 @@ VectorBatch* Fetch1JoinOp::Next() {
     im.out.ActivateSel(n);
   } else {
     im.out.ClearSel();
-  }
-  if (im.op_stats) {
-    im.op_stats->calls++;
-    im.op_stats->tuples += static_cast<uint64_t>(n);
-    im.op_stats->cycles += ReadCycleCounter() - t0;
   }
   return &im.out;
 }

@@ -55,8 +55,7 @@ struct HashJoinOp::Impl {
   // Open when the join has one integer key; engaged after the build drains
   // if the span qualifies.
   const SelectPrimitive* filter_prim = nullptr;
-  PrimitiveStats* filter_stats = nullptr;
-  size_t filter_bytes_per_tuple = 0;
+  TraceNode* filter_leaf = nullptr;
   bool filter_on = false;
   std::vector<uint64_t> filter_bits;
   DenseDomain domain;
@@ -68,8 +67,7 @@ struct HashJoinOp::Impl {
   struct HashStep {
     const MapPrimitive* prim;
     int col;
-    PrimitiveStats* stats;
-    size_t bytes_per_tuple;
+    TraceNode* leaf;
   };
   std::vector<HashStep> hash_steps;
   std::vector<int> probe_key_cols;
@@ -91,7 +89,6 @@ struct HashJoinOp::Impl {
   bool probe_done = false;
   bool built = false;
   VectorBatch out;
-  PrimitiveStats* op_stats = nullptr;
 
   // Registry metrics (hit rate = probe_hits / probe_tuples).
   Histogram* m_build_rows = nullptr;
@@ -171,16 +168,9 @@ struct HashJoinOp::Impl {
   int RunFilter(const VectorBatch* batch, int n, const int* sel) {
     if (filter_sel.size() < static_cast<size_t>(n)) filter_sel.resize(n);
     const void* args[2] = {batch->column(probe_key_cols[0]).data(), &domain};
-    int m;
-    if (filter_stats) {
-      ScopedCycles cyc(filter_stats);
-      m = filter_prim->fn(n, filter_sel.data(), args, sel);
-      filter_stats->calls++;
-      filter_stats->tuples += static_cast<uint64_t>(n);
-      filter_stats->bytes += static_cast<uint64_t>(n) * filter_bytes_per_tuple;
-    } else {
-      m = filter_prim->fn(n, filter_sel.data(), args, sel);
-    }
+    int m = TimedCall(filter_leaf, n, [&] {
+      return filter_prim->fn(n, filter_sel.data(), args, sel);
+    });
     filter_probes += static_cast<uint64_t>(n);
     filter_passed += static_cast<uint64_t>(m);
     return m;
@@ -291,8 +281,9 @@ void HashJoinOp::Open() {
     const MapPrimitive* prim = PrimitiveRegistry::Get().FindMap(name);
     X100_CHECK(prim != nullptr);
     im.hash_steps.push_back(
-        {prim, ci, ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr,
-         TypeWidth(ps.field(ci).type) + 8});
+        {prim, ci,
+         PrimitiveLeaf(ctx_, trace_node_, name,
+                       TypeWidth(ps.field(ci).type) + 8)});
   }
 
   // Dense-key filter candidates: one integer key column (i32, date, i64).
@@ -303,9 +294,8 @@ void HashJoinOp::Open() {
                                           : "select_inbitmap_i32_col";
     im.filter_prim = PrimitiveRegistry::Get().FindSelect(name);
     X100_CHECK(im.filter_prim != nullptr);
-    im.filter_stats =
-        ctx_->profiler ? ctx_->profiler->GetStats(name) : nullptr;
-    im.filter_bytes_per_tuple = TypeWidth(kt) + sizeof(int);
+    im.filter_leaf =
+        PrimitiveLeaf(ctx_, trace_node_, name, TypeWidth(kt) + sizeof(int));
   }
 
   for (const std::string& name : probe_out_) {
@@ -318,7 +308,6 @@ void HashJoinOp::Open() {
   im.hash_a.Allocate(TypeId::kI64, ctx_->vector_size);
   im.hash_b.Allocate(TypeId::kI64, ctx_->vector_size);
   im.out = VectorBatch(schema_, ctx_->vector_size);
-  im.op_stats = ctx_->profiler ? ctx_->profiler->GetStats("HashJoin") : nullptr;
   MetricsRegistry& reg = MetricsRegistry::Get();
   im.m_build_rows = reg.GetHistogram("join.hash.build_rows");
   im.m_probe_tuples = reg.GetCounter("join.hash.probe_tuples");
@@ -422,19 +411,10 @@ void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
     Impl::HashStep& hs = im.hash_steps[s];
     const void* args[2] = {batch->column(hs.col).data(), cur};
     void* res = s == 0 ? cur : other;
-    if (hs.stats) {
-      ScopedCycles cyc(hs.stats);
-      hs.prim->fn(pn, res, args, psel);
-      hs.stats->calls++;
-      hs.stats->tuples += static_cast<uint64_t>(pn);
-      hs.stats->bytes += static_cast<uint64_t>(pn) * hs.bytes_per_tuple;
-    } else {
-      hs.prim->fn(pn, res, args, psel);
-    }
+    TimedCall(hs.leaf, pn, [&] { hs.prim->fn(pn, res, args, psel); });
     if (s != 0) std::swap(cur, other);
   }
 
-  uint64_t t0 = im.op_stats ? ReadCycleCounter() : 0;
   uint64_t hits = 0;
   // Vectorized probe-all: every lane advances per round, candidates come
   // back as a selection vector for key verification; match emission then
@@ -493,11 +473,6 @@ void HashJoinOp::ProcessProbeBatch(VectorBatch* batch) {
   }
   im.m_probe_tuples->Add(static_cast<uint64_t>(n));
   im.m_probe_hits->Add(hits);
-  if (im.op_stats) {
-    im.op_stats->calls++;
-    im.op_stats->tuples += static_cast<uint64_t>(n);
-    im.op_stats->cycles += ReadCycleCounter() - t0;
-  }
 }
 
 VectorBatch* HashJoinOp::Next() {

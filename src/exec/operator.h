@@ -8,7 +8,6 @@
 
 namespace x100 {
 
-class QueryTrace;
 struct BmSource;
 struct SnapshotSet;
 
@@ -23,12 +22,12 @@ struct ExecContext {
   /// env knob; paper-trace benchmarks that want Table 5's single-primitive
   /// pipeline pin it off, and QueryRequest.fuse overrides it per query.
   bool fuse_compound_primitives = EnvFuse() != 0;
-  /// When set, primitives and operators account calls/tuples/bytes/cycles
-  /// here (the Table 5 trace). Null disables tracing.
+  /// When set (and `trace` is not), the plan traces into the Profiler's own
+  /// tree, whose flattened view is the Table 5 trace.
   Profiler* profiler = nullptr;
   /// When set, the plan factories (exec/plan.h) wrap every operator in an
-  /// InstrumentedOperator recording per-plan-node calls/batches/tuples/cycles
-  /// — the EXPLAIN ANALYZE tree. Null disables per-node tracing.
+  /// InstrumentedOperator recording per-plan-node calls/batches/tuples/cycles,
+  /// with a leaf per bound primitive step — the EXPLAIN ANALYZE tree.
   QueryTrace* trace = nullptr;
   /// Intra-query parallelism budget (the paper's Xchg route, §6). Plans
   /// built through plan::PartialAggr (tpch Q1/Q3/Q6/Q14) run their
@@ -53,6 +52,13 @@ struct ExecContext {
   /// in-flight appends/deletes/merges are invisible. Null (or a missing
   /// table entry) reads the live table directly, the single-writer default.
   const SnapshotSet* snapshots = nullptr;
+
+  /// The tree this plan traces into: `trace`, else the profiler's; null
+  /// when the plan is not traced.
+  QueryTrace* TraceTree() const {
+    if (trace != nullptr) return trace;
+    return profiler != nullptr ? profiler->tree() : nullptr;
+  }
 
   /// Per-vector cancellation poll: throws QueryCancelled when the token is
   /// tripped or its deadline passed. No-op without a token.

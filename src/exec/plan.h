@@ -4,9 +4,10 @@
 // Plan-builder DSL: thin factories so hand-translated query plans read like
 // the X100 algebra of Figure 9. Everything returns std::unique_ptr<Operator>.
 //
-// When ExecContext::trace is set, each factory wraps its operator in an
-// InstrumentedOperator (exec/trace.h), so plans built through this DSL come
-// out pre-wired for EXPLAIN ANALYZE. Operator options travel in spec structs
+// When the context has a trace tree (ExecContext::TraceTree), each factory
+// wraps its operator in an InstrumentedOperator (exec/trace.h), so plans
+// built through this DSL come out pre-wired for EXPLAIN ANALYZE and the
+// Profiler. Operator options travel in spec structs
 // (ScanSpec, JoinSpec) so factories stay single-signature and call sites use
 // designated initializers instead of positional argument lists.
 //
@@ -38,8 +39,8 @@ namespace x100::plan {
 using OpPtr = std::unique_ptr<Operator>;
 
 /// Wraps `op` in an InstrumentedOperator when tracing (MaybeTrace). An
-/// operator that publishes its own counters at Close() (it has
-/// set_trace_node) is also handed the new trace node.
+/// operator that binds primitives or publishes its own counters at Close()
+/// (it has set_trace_node) is also handed the new trace node.
 template <typename Op>
 OpPtr Traced(ExecContext* ctx, std::unique_ptr<Op> op, std::string label,
              std::string detail = "",
@@ -48,7 +49,7 @@ OpPtr Traced(ExecContext* ctx, std::unique_ptr<Op> op, std::string label,
   OpPtr wrapped = MaybeTrace(ctx, std::move(op), std::move(label),
                              std::move(detail), std::move(children));
   if constexpr (requires(Op* o) { o->set_trace_node(nullptr); }) {
-    if (ctx->trace != nullptr) {
+    if (ctx->TraceTree() != nullptr) {
       raw->set_trace_node(
           static_cast<InstrumentedOperator*>(wrapped.get())->node());
     }
@@ -165,7 +166,7 @@ inline OpPtr ClusteredAggr(ExecContext* ctx, OpPtr child, const Table& source,
                                  std::move(aggrs))
                        : Aggr(ctx, std::move(child), std::move(group_by),
                               std::move(aggrs));
-  if (ctx->trace != nullptr) {
+  if (ctx->TraceTree() != nullptr) {
     static_cast<InstrumentedOperator*>(op.get())->node()->AddCounter(
         "cluster_check.cycles", check_cycles);
   }

@@ -46,8 +46,7 @@ struct PredicateEvaluator::PredNode {
   // kCmp:
   const SelectPrimitive* prim = nullptr;
   ArgRef args[2];
-  PrimitiveStats* stats = nullptr;
-  size_t bytes_per_tuple = 0;
+  TraceNode* leaf = nullptr;
 
   // Scratch selection buffers (AND ping-pong, OR left/right).
   std::unique_ptr<int[]> buf_a, buf_b;
@@ -163,8 +162,7 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
     node->args[0] = l.ref;
     node->args[1] = {ArgRef::Src::kConst, 0,
                      program_.StoreConst(Value::I64(code), ct), false, 0};
-    node->stats = program_.Stats(name);
-    node->bytes_per_tuple = TypeWidth(ct) + sizeof(int);
+    node->leaf = program_.Leaf(name, TypeWidth(ct) + sizeof(int));
     return node;
   }
 
@@ -208,14 +206,16 @@ std::unique_ptr<PredicateEvaluator::PredNode> PredicateEvaluator::BindPred(
   }
   node->args[0] = l.ref;
   node->args[1] = r.ref;
-  node->stats = program_.Stats(name);
-  node->bytes_per_tuple =
-      TypeWidth(t) * (1 + (r.ref.is_col ? 1 : 0)) + sizeof(int);
+  node->leaf = program_.Leaf(
+      name, TypeWidth(t) * (1 + (r.ref.is_col ? 1 : 0)) + sizeof(int));
   return node;
 }
 
+// Comparisons and the conjuncts of an and continue the run of `lap`; the
+// other nodes do work of their own between calls, so they end it.
 int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
-                                 const int* sel, int n, int* out_sel) {
+                                 const int* sel, int n, int* out_sel,
+                                 CallLap* lap) {
   switch (node->kind) {
     case PredNode::Kind::kTrue:
       if (sel) {
@@ -223,23 +223,16 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
       } else {
         for (int i = 0; i < n; i++) out_sel[i] = i;
       }
+      *lap = CallLap();
       return n;
     case PredNode::Kind::kFalse:
       return 0;
     case PredNode::Kind::kCmp: {
       const void* args[2] = {program_.ArgPtr(node->args[0], batch),
                              program_.ArgPtr(node->args[1], batch)};
-      int k;
-      if (node->stats) {
-        ScopedCycles cycles(node->stats);
-        k = node->prim->fn(n, out_sel, args, sel);
-        node->stats->calls++;
-        node->stats->tuples += n;
-        node->stats->bytes += static_cast<uint64_t>(n) * node->bytes_per_tuple;
-      } else {
-        k = node->prim->fn(n, out_sel, args, sel);
-      }
-      return k;
+      return TimedCall(
+          node->leaf, n,
+          [&] { return node->prim->fn(n, out_sel, args, sel); }, lap);
     }
     case PredNode::Kind::kAnd: {
       // Thread the shrinking selection through the conjuncts; ping-pong
@@ -251,7 +244,8 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
       for (size_t c = 0; c < node->children.size(); c++) {
         int* target =
             (c + 1 == node->children.size()) ? out_sel : bufs[which];
-        cur_n = EvalNode(node->children[c].get(), batch, cur, cur_n, target);
+        cur_n =
+            EvalNode(node->children[c].get(), batch, cur, cur_n, target, lap);
         cur = target;
         which ^= 1;
         if (cur_n == 0 && c + 1 < node->children.size()) return 0;
@@ -261,7 +255,7 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
     case PredNode::Kind::kNot: {
       // Complement: input positions minus the child's (both ascending).
       int k = EvalNode(node->children[0].get(), batch, sel, n,
-                       node->buf_a.get());
+                       node->buf_a.get(), lap);
       const int* hit = node->buf_a.get();
       int m = 0, j = 0;
       for (int i = 0; i < n; i++) {
@@ -272,6 +266,7 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
           out_sel[m++] = pos;
         }
       }
+      *lap = CallLap();
       return m;
     }
     case PredNode::Kind::kOr: {
@@ -281,7 +276,7 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
       int* tmp = node->buf_b.get();
       int acc_n = 0;
       for (size_t c = 0; c < node->children.size(); c++) {
-        int k = EvalNode(node->children[c].get(), batch, sel, n, tmp);
+        int k = EvalNode(node->children[c].get(), batch, sel, n, tmp, lap);
         // Merge-union tmp[0..k) into acc[0..acc_n) -> out_sel, then swap.
         int i = 0, j = 0, m = 0;
         while (i < acc_n && j < k) {
@@ -298,6 +293,7 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
         while (j < k) out_sel[m++] = tmp[j++];
         std::memcpy(acc, out_sel, sizeof(int) * static_cast<size_t>(m));
         acc_n = m;
+        *lap = CallLap();
       }
       std::memcpy(out_sel, acc, sizeof(int) * static_cast<size_t>(acc_n));
       return acc_n;
@@ -307,8 +303,10 @@ int PredicateEvaluator::EvalNode(PredNode* node, VectorBatch* batch,
 }
 
 int PredicateEvaluator::Eval(VectorBatch* batch, int* out_sel) {
-  program_.RunSteps(batch);
-  return EvalNode(root_.get(), batch, batch->sel(), batch->sel_count(), out_sel);
+  CallLap lap;
+  program_.RunSteps(batch, &lap);
+  return EvalNode(root_.get(), batch, batch->sel(), batch->sel_count(), out_sel,
+                  &lap);
 }
 
 }  // namespace x100

@@ -91,7 +91,6 @@ void ScanOp::Open() {
     copy_bufs_.emplace_back(schema_.field(i).type, ctx_->vector_size);
   }
   if (rowid_field_ >= 0) rowid_buf_.Allocate(TypeId::kI64, ctx_->vector_size);
-  stats_ = ctx_->profiler ? ctx_->profiler->GetStats("Scan") : nullptr;
 
   if (delta_end_ > delta_begin_) {
     // Delta columns exist only for declared columns, not join-index columns;
@@ -105,7 +104,6 @@ void ScanOp::Open() {
 
 VectorBatch* ScanOp::Next() {
   ctx_->CheckCancel();
-  uint64_t t0 = stats_ ? ReadCycleCounter() : 0;
   while (true) {
     int64_t region_end = in_delta_ ? delta_end_ : frag_end_;
     if (pos_ >= region_end) {
@@ -176,17 +174,6 @@ VectorBatch* ScanOp::Next() {
     pos_ = hi;
     if (count == 0) continue;  // fully deleted window; try the next one
     batch_.set_count(count);
-
-    if (stats_) {
-      size_t width = 0;
-      for (int i = 0; i < schema_.num_fields(); i++) {
-        width += TypeWidth(schema_.field(i).type);
-      }
-      stats_->calls++;
-      stats_->tuples += static_cast<uint64_t>(count);
-      stats_->bytes += static_cast<uint64_t>(count) * width;
-      stats_->cycles += ReadCycleCounter() - t0;
-    }
     return &batch_;
   }
 }

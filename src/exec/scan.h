@@ -89,7 +89,6 @@ class ScanOp : public Operator {
   VectorBatch batch_;
   std::vector<Vector> copy_bufs_;  // per output column, for delete compaction
   Vector rowid_buf_;
-  PrimitiveStats* stats_ = nullptr;
 };
 
 /// True when a full ScanOp of `table` under `ctx`'s snapshots delivers

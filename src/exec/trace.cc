@@ -1,196 +1,29 @@
 #include "exec/trace.h"
 
-#include <cstdio>
-
-#include "common/json.h"
-
 namespace x100 {
 
-TraceNode* QueryTrace::NewNode(std::string label, std::string detail,
-                               std::vector<TraceNode*> children) {
-  nodes_.emplace_back();
-  TraceNode* n = &nodes_.back();
-  n->label = std::move(label);
-  n->detail = std::move(detail);
-  n->children = std::move(children);
-  for (TraceNode* child : n->children) {
-    for (size_t i = 0; i < roots_.size(); i++) {
-      if (roots_[i] == child) {
-        roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-  }
-  roots_.push_back(n);
-  return n;
-}
-
-void QueryTrace::AttachChild(TraceNode* parent, TraceNode* child) {
-  parent->children.push_back(child);
-  for (size_t i = 0; i < roots_.size(); i++) {
-    if (roots_[i] == child) {
-      roots_.erase(roots_.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-}
-
-namespace {
-
-uint64_t TotalSelfCycles(const TraceNode* n) {
-  uint64_t total = n->SelfCycles();
-  for (const TraceNode* c : n->children) total += TotalSelfCycles(c);
-  return total;
-}
-
-void RenderNode(const TraceNode* n, const std::string& prefix, bool last,
-                bool is_root, uint64_t total_self, std::string* out) {
-  char line[512];
-  std::string branch =
-      is_root ? "" : prefix + (last ? "└─ " : "├─ ");
-  std::string head = branch + n->label;
-  if (!n->detail.empty()) head += "(" + n->detail + ")";
-  double pct = total_self
-                   ? 100.0 * static_cast<double>(n->SelfCycles()) /
-                         static_cast<double>(total_self)
-                   : 0.0;
-  std::snprintf(line, sizeof(line),
-                "%-44s calls=%-6llu batches=%-6llu tuples=%-10llu "
-                "cyc/tup=%-8.1f self=%4.1f%%\n",
-                head.c_str(), static_cast<unsigned long long>(n->next_calls),
-                static_cast<unsigned long long>(n->batches),
-                static_cast<unsigned long long>(n->tuples),
-                n->SelfCyclesPerTuple(), pct);
-  *out += line;
-  PerfCounterValues self_perf = n->SelfPerf();
-  if (!n->counters.empty() || self_perf.any()) {
-    std::string extras = is_root ? "" : prefix + (last ? "   " : "│  ");
-    extras += "  ·";
-    if (self_perf.HasIpc()) {
-      std::snprintf(line, sizeof(line), " ipc=%.2f", self_perf.Ipc());
-      extras += line;
-    }
-    if (self_perf.Has(PerfEvent::kCacheMisses) && n->tuples > 0) {
-      std::snprintf(line, sizeof(line), " llcmiss/tup=%.3f",
-                    static_cast<double>(
-                        self_perf.Get(PerfEvent::kCacheMisses)) /
-                        static_cast<double>(n->tuples));
-      extras += line;
-    }
-    if (self_perf.Has(PerfEvent::kBranchMisses) &&
-        self_perf.Has(PerfEvent::kBranchInstructions) &&
-        self_perf.Get(PerfEvent::kBranchInstructions) > 0) {
-      std::snprintf(line, sizeof(line), " brmiss=%.2f%%",
-                    100.0 *
-                        static_cast<double>(
-                            self_perf.Get(PerfEvent::kBranchMisses)) /
-                        static_cast<double>(
-                            self_perf.Get(PerfEvent::kBranchInstructions)));
-      extras += line;
-    }
-    for (const auto& kv : n->counters) {
-      std::snprintf(line, sizeof(line), " %s=%llu", kv.first.c_str(),
-                    static_cast<unsigned long long>(kv.second));
-      extras += line;
-    }
-    *out += extras + "\n";
-  }
-  std::string child_prefix =
-      is_root ? "" : prefix + (last ? "   " : "│  ");
-  for (size_t i = 0; i < n->children.size(); i++) {
-    RenderNode(n->children[i], child_prefix, i + 1 == n->children.size(),
-               false, total_self, out);
-  }
-}
-
-void NodeToJson(const TraceNode* n, JsonWriter* w) {
-  w->BeginObject();
-  if (!n->plan_name.empty()) {
-    w->Key("plan");
-    w->Value(n->plan_name);
-  }
-  w->Key("label"); w->Value(n->label);
-  if (!n->detail.empty()) {
-    w->Key("detail");
-    w->Value(n->detail);
-  }
-  w->Key("next_calls"); w->Value(n->next_calls);
-  w->Key("batches"); w->Value(n->batches);
-  w->Key("tuples"); w->Value(n->tuples);
-  w->Key("cycles"); w->Value(n->cycles);
-  w->Key("self_cycles"); w->Value(n->SelfCycles());
-  w->Key("self_cycles_per_tuple"); w->Value(n->SelfCyclesPerTuple());
-  if (n->perf.any()) {
-    w->Key("hw");
-    w->BeginObject();
-    for (int i = 0; i < kNumPerfEvents; i++) {
-      PerfEvent e = static_cast<PerfEvent>(i);
-      if (!n->perf.Has(e)) continue;
-      w->Key(PerfEventName(e));
-      w->Value(n->perf.Get(e));
-    }
-    PerfCounterValues self = n->SelfPerf();
-    if (self.HasIpc()) {
-      w->Key("self_ipc");
-      w->Value(self.Ipc());
-    }
-    if (self.Has(PerfEvent::kCacheMisses) && n->tuples > 0) {
-      w->Key("self_cache_misses_per_tuple");
-      w->Value(static_cast<double>(self.Get(PerfEvent::kCacheMisses)) /
-               static_cast<double>(n->tuples));
-    }
-    w->EndObject();
-  }
-  if (!n->counters.empty()) {
-    w->Key("counters");
-    w->BeginObject();
-    for (const auto& kv : n->counters) {
-      w->Key(kv.first);
-      w->Value(kv.second);
-    }
-    w->EndObject();
-  }
-  w->Key("children");
-  w->BeginArray();
-  for (const TraceNode* c : n->children) NodeToJson(c, w);
-  w->EndArray();
-  w->EndObject();
-}
-
-}  // namespace
-
-std::string QueryTrace::ToString() const {
-  uint64_t total_self = 0;
-  for (const TraceNode* r : roots_) total_self += TotalSelfCycles(r);
-  std::string out;
-  for (const TraceNode* r : roots_) {
-    if (!r->plan_name.empty()) out += "[" + r->plan_name + "]\n";
-    RenderNode(r, "", true, true, total_self, &out);
-  }
-  return out;
-}
-
-std::string QueryTrace::ToJson() const {
-  JsonWriter w;
-  w.BeginArray();
-  for (const TraceNode* r : roots_) NodeToJson(r, &w);
-  w.EndArray();
-  return std::move(w).Take();
+TraceNode* PrimitiveLeaf(ExecContext* ctx, TraceNode* parent, std::string name,
+                         uint64_t bytes_per_tuple, std::string detail) {
+  QueryTrace* tree = ctx->TraceTree();
+  if (parent == nullptr || tree == nullptr) return nullptr;
+  return tree->NewLeaf(parent, std::move(name), bytes_per_tuple,
+                       std::move(detail));
 }
 
 std::unique_ptr<Operator> MaybeTrace(ExecContext* ctx,
                                      std::unique_ptr<Operator> op,
                                      std::string label, std::string detail,
                                      std::vector<const Operator*> children) {
-  if (ctx->trace == nullptr) return op;
+  QueryTrace* tree = ctx->TraceTree();
+  if (tree == nullptr) return op;
   std::vector<TraceNode*> child_nodes;
   for (const Operator* c : children) {
     if (const auto* io = dynamic_cast<const InstrumentedOperator*>(c)) {
       child_nodes.push_back(io->node());
     }
   }
-  TraceNode* node = ctx->trace->NewNode(std::move(label), std::move(detail),
-                                        std::move(child_nodes));
+  TraceNode* node = tree->NewNode(std::move(label), std::move(detail),
+                                  std::move(child_nodes));
   return std::make_unique<InstrumentedOperator>(std::move(op), node);
 }
 

@@ -1,14 +1,14 @@
 #ifndef X100_EXEC_TRACE_H_
 #define X100_EXEC_TRACE_H_
 
-// EXPLAIN ANALYZE operator tracing. When ExecContext::trace is set, the
-// plan-builder factories (exec/plan.h) wrap every operator they create in an
+// Operator tracing. When the context has a trace tree (ExecContext::TraceTree:
+// an EXPLAIN ANALYZE QueryTrace, or a Profiler's own tree), the plan-builder
+// factories (exec/plan.h) wrap every operator they create in an
 // InstrumentedOperator that accounts per-plan-node Next() calls, batches,
-// tuples and cycles into a TraceNode tree. After the run, QueryTrace renders
-// the annotated plan — the per-node complement of the Profiler's flat
-// per-primitive Table 5 trace.
+// tuples and cycles into a TraceNode, and the operator hangs one leaf per
+// bound primitive step under that node (PrimitiveLeaf). The tree model
+// itself lives in common/profiling.h.
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,141 +16,6 @@
 #include "exec/operator.h"
 
 namespace x100 {
-
-/// One plan node's accounting. Cycles are inclusive: a node's Next() nests
-/// its children's Next() calls (including blocking drains like a join build),
-/// so self time is inclusive minus the children's inclusive.
-struct TraceNode {
-  std::string label;      // operator name, e.g. "Select"
-  std::string detail;     // operator-specific, e.g. scanned table + range
-  std::string plan_name;  // set on the root when RunPlan names the plan
-
-  uint64_t open_calls = 0;
-  uint64_t next_calls = 0;
-  uint64_t batches = 0;  // Next() calls that returned a batch
-  uint64_t tuples = 0;   // sum of returned batches' live (selected) tuples
-  uint64_t cycles = 0;   // inclusive, over Open() + Next() + Close()
-  /// Inclusive hardware-counter deltas over the same windows as `cycles`,
-  /// accumulated whenever the executing thread has a perf group installed
-  /// (common/perf_counters.h). Absent (empty mask) in degraded mode; the
-  /// renderers omit the fields instead of showing zeros. Exchange merges
-  /// sum these across workers exactly like cycles.
-  PerfCounterValues perf;
-
-  /// Operator-specific counters (e.g. BmScan's prefetch.hits / bm.pool
-  /// activity), in first-add order. Exchange sums them name-wise when
-  /// merging worker subtrees.
-  std::vector<std::pair<std::string, uint64_t>> counters;
-
-  void AddCounter(const std::string& name, uint64_t delta) {
-    for (auto& kv : counters) {
-      if (kv.first == name) {
-        kv.second += delta;
-        return;
-      }
-    }
-    counters.emplace_back(name, delta);
-  }
-
-  std::vector<TraceNode*> children;
-
-  uint64_t ChildCycles() const {
-    uint64_t c = 0;
-    for (const TraceNode* ch : children) c += ch->cycles;
-    return c;
-  }
-  /// Cycles spent in this node excluding its children (clamped at 0: the
-  /// serializing cycle reads make nested measurements slightly lossy).
-  uint64_t SelfCycles() const {
-    uint64_t c = ChildCycles();
-    return cycles > c ? cycles - c : 0;
-  }
-  double SelfCyclesPerTuple() const {
-    return tuples ? static_cast<double>(SelfCycles()) /
-                        static_cast<double>(tuples)
-                  : 0.0;
-  }
-  /// Hardware counters spent in this node excluding its children — the
-  /// perf analogue of SelfCycles, per-event saturating at 0.
-  PerfCounterValues SelfPerf() const {
-    PerfCounterValues child_sum;
-    for (const TraceNode* ch : children) child_sum.Add(ch->perf);
-    PerfCounterValues self = perf;
-    for (int i = 0; i < kNumPerfEvents; i++) {
-      PerfEvent e = static_cast<PerfEvent>(i);
-      if (!self.Has(e) || !child_sum.Has(e)) continue;
-      uint64_t c = child_sum.Get(e);
-      self.Set(e, self.Get(e) > c ? self.Get(e) - c : 0);
-    }
-    return self;
-  }
-};
-
-/// Owns the TraceNodes of one traced run. A query that materializes
-/// sub-plans (the hand-translated TPC-H plans express SQL subqueries that
-/// way) produces one root per sub-plan, in execution order.
-class QueryTrace {
- public:
-  /// Creates a node whose children (if any) stop being roots.
-  TraceNode* NewNode(std::string label, std::string detail,
-                     std::vector<TraceNode*> children);
-
-  /// Re-parents existing root `child` under `parent` — both must live in
-  /// this trace. ExchangeOp grafts its merged per-worker subtree under the
-  /// exchange node this way, after the workers have finished.
-  void AttachChild(TraceNode* parent, TraceNode* child);
-
-  const std::vector<TraceNode*>& roots() const { return roots_; }
-
-  /// Renders every root as an indented tree with per-node calls, batches,
-  /// tuples, self cycles/tuple and percent of total self time.
-  std::string ToString() const;
-
-  /// [{"plan","label","detail","next_calls","batches","tuples","cycles",
-  ///   "self_cycles","self_cycles_per_tuple","children":[...]}, ...]
-  /// Nodes measured with hardware counters additionally carry an "hw"
-  /// object: inclusive {"cycles","instructions","cache_references",
-  /// "cache_misses","branch_instructions","branch_misses"} plus derived
-  /// {"self_ipc","self_cache_misses_per_tuple"}. The "hw" key is OMITTED
-  /// entirely (never zero-filled) when counters were unavailable.
-  std::string ToJson() const;
-
- private:
-  std::deque<TraceNode> nodes_;  // stable addresses
-  std::vector<TraceNode*> roots_;
-};
-
-/// RAII bracket accounting one Open/Next/Close window into a TraceNode:
-/// rdtsc cycles always, plus hardware-counter deltas when the calling
-/// thread has a perf group installed. Looked up per call, not per operator
-/// — exchange pipelines Open() on the consumer thread but Next() on pool
-/// threads, and each window must read the counters of the thread it ran on.
-class ScopedCounters {
- public:
-  explicit ScopedCounters(TraceNode* node)
-      : node_(node), perf_group_(CurrentThreadPerfGroup()) {
-    if (perf_group_ != nullptr && !perf_group_->Read(&perf_start_)) {
-      perf_group_ = nullptr;
-    }
-    start_ = ReadCycleCounter();
-  }
-  ~ScopedCounters() {
-    node_->cycles += ReadCycleCounter() - start_;
-    if (perf_group_ != nullptr) {
-      PerfCounterValues end;
-      if (perf_group_->Read(&end)) node_->perf.Add(end.Since(perf_start_));
-    }
-  }
-
-  ScopedCounters(const ScopedCounters&) = delete;
-  ScopedCounters& operator=(const ScopedCounters&) = delete;
-
- private:
-  TraceNode* node_;
-  PerfCounterGroup* perf_group_;
-  PerfCounterValues perf_start_;
-  uint64_t start_;
-};
 
 /// Decorator recording a wrapped operator's activity into a TraceNode.
 /// Transparent to the pipeline: forwards schema/Open/Next/Close.
@@ -193,6 +58,12 @@ class InstrumentedOperator : public Operator {
   std::unique_ptr<Operator> inner_;
   TraceNode* node_;
 };
+
+/// The leaf of primitive `name`, bound by the operator traced at `parent`.
+/// Null when the plan is not traced or `parent` is null (the operator is
+/// not traced, or the bind is a constructor's probe).
+TraceNode* PrimitiveLeaf(ExecContext* ctx, TraceNode* parent, std::string name,
+                         uint64_t bytes_per_tuple, std::string detail = "");
 
 /// Plan-factory hook: wraps `op` when tracing is on, else returns it as-is.
 /// `children` are the child operators *before* they were moved into `op`

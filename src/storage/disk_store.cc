@@ -27,7 +27,7 @@ struct BlockEntry {
   uint64_t bytes;
   int64_t value_count;
   uint32_t crc;
-  uint32_t codec;  // CodecId; was a zeroed reserved field in v1
+  uint32_t codec;  // CodecId
 };
 static_assert(sizeof(BlockEntry) == 32);
 
@@ -228,11 +228,10 @@ Status DiskStore::OpenMeta(const std::string& name, FileMeta* meta) {
   FileHeader h;
   s = PreadAll(fd, &h, sizeof(h), 0, path);
   if (!s.ok()) return s;
-  bool v1 = std::memcmp(h.magic, kMagicV1, sizeof(kMagicV1)) == 0;
-  if (!v1 && std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Error("bad magic in " + path);
   }
-  if (h.version != (v1 ? kVersionV1 : kVersion)) {
+  if (h.version != kVersion) {
     return Status::Error("unsupported chunk-file version in " + path);
   }
   if (h.crc != Crc32(&h, sizeof(FileHeader) - sizeof(uint32_t))) {
@@ -265,13 +264,10 @@ Status DiskStore::OpenMeta(const std::string& name, FileMeta* meta) {
   meta->blocks.clear();
   meta->blocks.reserve(entries.size());
   meta->payload_bytes = 0;
-  // v1 footers carry no codec id: compressed files were FOR throughout,
-  // plain files raw.
-  CodecId v1_codec = meta->compressed ? CodecId::kFor : CodecId::kRaw;
   for (size_t i = 0; i < entries.size(); i++) {
     const BlockEntry& e = entries[i];
-    CodecId codec = v1 ? v1_codec : static_cast<CodecId>(e.codec);
-    if (!v1 && (e.codec > 0xFF || Codec::ForId(codec) == nullptr)) {
+    CodecId codec = static_cast<CodecId>(e.codec);
+    if (e.codec > 0xFF || Codec::ForId(codec) == nullptr) {
       return Status::Error("unknown codec id " + std::to_string(e.codec) +
                            " for block " + std::to_string(i) + " in " + path);
     }

@@ -19,12 +19,10 @@
 // region is checksummed (CRC-32): the header at open, the footer at open,
 // each block's payload on every read from disk.
 //
-// Format history: v1 ("X100COL1") had no per-block codec id — compressed
-// files were FOR throughout, plain files raw. v1 files remain readable
-// (OpenMeta infers the codec from the header's compressed flag); new files
-// are always written as v2, whose footer entries carry a CodecId per block
-// so the freeze path can pick the cheapest codec block by block. Unknown
-// codec ids are rejected at open, like any other corruption.
+// Format: v2 ("X100COL2"), whose footer entries carry a CodecId per block so
+// the freeze path can pick the cheapest codec block by block. v1 files
+// ("X100COL1", no codec ids) are no longer read: OpenMeta rejects them with
+// an error Status, like unknown codec ids and any other corruption.
 //
 // The per-table manifest ("<table>.manifest") lists the table's column files
 // with their payload sizes and whole-file checksums, so a table image can be
@@ -138,9 +136,7 @@ class DiskStore {
                       std::vector<ManifestEntry>* out);
 
   static constexpr char kMagic[8] = {'X', '1', '0', '0', 'C', 'O', 'L', '2'};
-  static constexpr char kMagicV1[8] = {'X', '1', '0', '0', 'C', 'O', 'L', '1'};
   static constexpr uint32_t kVersion = 2;
-  static constexpr uint32_t kVersionV1 = 1;
   static constexpr uint32_t kFlagCompressed = 1;
 
  private:

@@ -12,11 +12,12 @@ namespace x100 {
 
 namespace {
 
-// Catalog image format v2: fixed-width column payloads are codec-compressed
-// (storage/compression.h) in chunks of kSerializeChunkValues values, each
-// chunk tagged with its codec id. v1 images (raw payloads) remain readable.
+// Catalog image format v2 ("X100CAT2"): fixed-width column payloads are
+// codec-compressed (storage/compression.h) in chunks of
+// kSerializeChunkValues values, each chunk tagged with its codec id. v1
+// images ("X100CAT1", raw payloads) are no longer read: LoadCatalog reports
+// a bad magic.
 constexpr char kMagic[8] = {'X', '1', '0', '0', 'C', 'A', 'T', '2'};
-constexpr char kMagicV1[8] = {'X', '1', '0', '0', 'C', 'A', 'T', '1'};
 constexpr int64_t kSerializeChunkValues = 1 << 16;
 
 class Writer {
@@ -163,7 +164,7 @@ void WriteColumnData(Writer* w, const Column& col) {
   }
 }
 
-bool ReadColumnData(Reader* r, Column* col, bool v1) {
+bool ReadColumnData(Reader* r, Column* col) {
   TypeId storage = static_cast<TypeId>(r->U8());
   int64_t rows = r->I64();
   if (!r->ok() || rows < 0) return false;
@@ -174,23 +175,18 @@ bool ReadColumnData(Reader* r, Column* col, bool v1) {
   } else {
     const size_t width = TypeWidth(storage);
     std::vector<char> buf(static_cast<size_t>(rows) * width);
-    if (v1) {
-      r->Bytes(buf.data(), buf.size());
-    } else {
-      std::vector<char> enc;
-      for (int64_t off = 0; off < rows && r->ok();
-           off += kSerializeChunkValues) {
-        int64_t n = std::min(kSerializeChunkValues, rows - off);
-        const Codec* codec = Codec::ForId(r->U8());
-        uint32_t bytes = r->U32();
-        if (!r->ok() || codec == nullptr) return false;
-        enc.resize(bytes);
-        r->Bytes(enc.data(), bytes);
-        if (!r->ok()) return false;
-        if (codec->Decode(enc.data(), bytes, buf.data() + off * width,
-                          width) != n) {
-          return false;
-        }
+    std::vector<char> enc;
+    for (int64_t off = 0; off < rows && r->ok(); off += kSerializeChunkValues) {
+      int64_t n = std::min(kSerializeChunkValues, rows - off);
+      const Codec* codec = Codec::ForId(r->U8());
+      uint32_t bytes = r->U32();
+      if (!r->ok() || codec == nullptr) return false;
+      enc.resize(bytes);
+      r->Bytes(enc.data(), bytes);
+      if (!r->ok()) return false;
+      if (codec->Decode(enc.data(), bytes, buf.data() + off * width, width) !=
+          n) {
+        return false;
       }
     }
     if (!r->ok()) return false;
@@ -259,9 +255,7 @@ std::unique_ptr<Catalog> LoadCatalog(const std::string& path,
   Reader r(f);
   char magic[8];
   r.Bytes(magic, sizeof(magic));
-  bool v1 = r.ok() && std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0;
-  if (!r.ok() ||
-      (!v1 && std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)) {
+  if (!r.ok() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return fail("LoadCatalog: bad magic in " + path);
   }
   auto catalog = std::make_unique<Catalog>();
@@ -284,7 +278,7 @@ std::unique_ptr<Catalog> LoadCatalog(const std::string& path,
     for (uint32_t c = 0; c < ncols; c++) {
       Column* col = table->load_column(static_cast<int>(c));
       if (col->is_enum()) ReadDict(&r, col->mutable_dict());
-      if (!ReadColumnData(&r, col, v1)) {
+      if (!ReadColumnData(&r, col)) {
         return fail("LoadCatalog: truncated column");
       }
     }
@@ -295,7 +289,7 @@ std::unique_ptr<Catalog> LoadCatalog(const std::string& path,
       table->EnsureDeltaStorage();
       for (uint32_t c = 0; c < ncols; c++) {
         Column* dc = table->mutable_delta_column(static_cast<int>(c));
-        if (!ReadColumnData(&r, dc, v1)) {
+        if (!ReadColumnData(&r, dc)) {
           return fail("LoadCatalog: truncated delta column");
         }
       }

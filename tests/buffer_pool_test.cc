@@ -21,6 +21,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/columnbm.h"
 #include "storage/disk_store.h"
+#include "storage/serialize.h"
 #include "storage/shared_scan.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -127,11 +128,11 @@ TEST(DiskStoreTest, RejectsTruncatedFile) {
   EXPECT_FALSE(store.OpenMeta("t.col", &meta).ok());
 }
 
-TEST(DiskStoreTest, ReadsV1FormatFiles) {
-  // Hand-craft a v1 ("X100COL1") chunk file byte by byte: FOR payload, a
-  // footer whose entries still have the zeroed reserved field where v2
-  // stores the codec id. OpenMeta must read it and infer kFor from the
-  // compressed flag; the ColumnBm read path must decode it.
+TEST(DiskStoreTest, RejectsV1FormatFiles) {
+  // v1 images are no longer read. Hand-craft a v1 ("X100COL1") chunk file
+  // byte by byte (FOR payload, footer entries with a zeroed reserved field
+  // where v2 stores the codec id) and a v1 ("X100CAT1") catalog image: both
+  // must be refused with an error, not read.
   ScopedTempDir dir("x100_bm_test");
   std::vector<int32_t> vals(5000);
   for (size_t i = 0; i < vals.size(); i++) {
@@ -143,11 +144,8 @@ TEST(DiskStoreTest, ReadsV1FormatFiles) {
   struct V1Header {
     char magic[8];
     uint32_t version, flags, value_width, crc;
-  } h{};
-  std::memcpy(h.magic, DiskStore::kMagicV1, 8);
-  h.version = DiskStore::kVersionV1;
-  h.flags = DiskStore::kFlagCompressed;
-  h.value_width = 4;
+  } h{{'X', '1', '0', '0', 'C', 'O', 'L', '1'},
+      1, DiskStore::kFlagCompressed, 4, 0};
   h.crc = Crc32(&h, sizeof(h) - 4);
   struct V1Entry {
     uint64_t offset, bytes;
@@ -171,17 +169,23 @@ TEST(DiskStoreTest, ReadsV1FormatFiles) {
 
   DiskStore store(dir.path());
   DiskStore::FileMeta meta;
-  ASSERT_TRUE(store.OpenMeta("old.cmp", &meta).ok());
-  EXPECT_TRUE(meta.compressed);
-  ASSERT_EQ(meta.blocks.size(), 1u);
-  EXPECT_EQ(meta.blocks[0].codec, CodecId::kFor);
+  Status s = store.OpenMeta("old.cmp", &meta);
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("bad magic"), std::string::npos) << s.message();
 
-  ColumnBm bm(ColumnBm::Options{.disk_dir = dir.path()});
-  EXPECT_EQ(bm.BlockCodec("old.cmp", 0), CodecId::kFor);
-  std::vector<int32_t> out(vals.size());
-  ASSERT_EQ(bm.ReadDecompressed("old.cmp", 0, out.data()),
-            static_cast<int64_t>(vals.size()));
-  EXPECT_EQ(out, vals);
+  // A v1 catalog image: magic plus an empty table list, which v1 readers
+  // accepted.
+  std::string cat = dir.path() + "/old.cat";
+  f = std::fopen(cat.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char cat_magic[8] = {'X', '1', '0', '0', 'C', 'A', 'T', '1'};
+  const uint32_t no_tables = 0;
+  ASSERT_EQ(std::fwrite(cat_magic, sizeof(cat_magic), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&no_tables, sizeof(no_tables), 1, f), 1u);
+  ASSERT_EQ(std::fclose(f), 0);
+  std::string error;
+  EXPECT_EQ(LoadCatalog(cat, &error), nullptr);
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
 TEST(DiskStoreTest, RejectsUnknownCodecId) {

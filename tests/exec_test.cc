@@ -118,10 +118,9 @@ TEST(ScanTest, SummaryIndexPruning) {
   ExecContext ctx;
   Profiler prof;
   ctx.profiler = &prof;
-  OpPtr op = std::make_unique<ScanOp>(
-      &ctx, *t,
-      ScanSpec{.cols = {"day", "id"},
-               .range = ScanSpec::Range{"day", 8135, 8137}});
+  OpPtr op = plan::Scan(&ctx, *t,
+                        ScanSpec{.cols = {"day", "id"},
+                                 .range = ScanSpec::Range{"day", 8135, 8137}});
   op = plan::Select(&ctx, std::move(op),
                     exprs::Between(Col("day"), Lit(Value::Date(8135)),
                                    Lit(Value::Date(8137))));

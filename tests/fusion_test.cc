@@ -4,7 +4,7 @@
 // bit-identical to the interpreted chains they replace — across random
 // expression shapes, IEEE specials, INT64 extremes, selection vectors,
 // vector sizes, and the RAM/disk/parallel backends — and EXPLAIN ANALYZE
-// must show fused steps as their own fused[sub>mul]-style plan nodes.
+// must show fused steps as primitive leaves detailed fused[sub>mul]-style.
 
 #include <bit>
 #include <cmath>
@@ -416,7 +416,7 @@ TEST_F(FusionTpchTest, ExplainAnalyzeShowsFusedNodes) {
     const TraceNode* n = stack.back();
     stack.pop_back();
     for (const TraceNode* c : n->children) stack.push_back(c);
-    if (n->label.find("fused[") != 0) continue;
+    if (n->detail.find("fused[") != 0) continue;
     found = true;
     EXPECT_GT(n->tuples, 0u) << n->label;
     EXPECT_GT(n->next_calls, 0u) << n->label;

@@ -1,7 +1,12 @@
 // Tests for the observability layer: PrimitiveStats derived quantities, the
-// Profiler (row order, Clear, JSON), the JsonWriter, the metrics registry
+// Profiler's flattening of a trace tree (row order, name-wise sums, operator
+// self cycles, JSON), the JsonWriter, the metrics registry
 // (counter/gauge/histogram semantics, snapshots, reset), and EXPLAIN ANALYZE
 // operator tracing.
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,66 +50,113 @@ TEST(PrimitiveStatsTest, EmptyIsAllZero) {
 
 // --- Profiler ---------------------------------------------------------------
 
-TEST(ProfilerTest, RowsKeepFirstTouchOrder) {
+// A hand-built Q1-shaped trace: Scan -> Select -> Project -> Aggr, each
+// operator with its primitive leaves, and a second sub-plan root whose Scan
+// and map_mul repeat names of the first.
+struct HandTrace {
   Profiler p;
-  p.GetStats("zeta")->tuples = 1;
-  p.GetStats("alpha")->tuples = 2;
-  p.GetStats("mid")->tuples = 3;
-  p.GetStats("zeta")->tuples += 10;  // re-touch must not reorder
+  TraceNode *scan, *select, *project, *aggr, *scan2, *project2;
 
-  auto rows = p.Rows();
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].first, "zeta");
-  EXPECT_EQ(rows[1].first, "alpha");
-  EXPECT_EQ(rows[2].first, "mid");
-  EXPECT_EQ(rows[0].second->tuples, 11u);
+  HandTrace() {
+    QueryTrace* t = p.tree();
+    scan = t->NewNode("Scan", "lineitem", {});
+    select = t->NewNode("Select", "", {scan});
+    TraceNode* sel = t->NewLeaf(select, "select_lt_i32_col_i32_val", 8);
+    project = t->NewNode("Project", "", {select});
+    TraceNode* mul = t->NewLeaf(project, "map_mul_f64_col_f64_col", 24);
+    TraceNode* add = t->NewLeaf(project, "map_add_f64_val_f64_col", 16);
+    aggr = t->NewNode("Aggr", "direct", {project});
+    TraceNode* sum = t->NewLeaf(aggr, "aggr_sum_f64_col", 12);
+    scan2 = t->NewNode("Scan", "orders", {});
+    project2 = t->NewNode("Project", "", {scan2});
+    TraceNode* mul2 = t->NewLeaf(project2, "map_mul_f64_col_f64_col", 24);
+
+    Set(sel, 2, 2000, 100);
+    Set(mul, 2, 1000, 60);
+    Set(add, 2, 1000, 40);
+    Set(sum, 2, 1000, 50);
+    Set(mul2, 1, 500, 30);
+    Set(scan, 3, 2000, 70);
+    Set(select, 3, 1000, 70 + 100 + 30);    // self 30
+    Set(project, 3, 1000, 200 + 100 + 20);  // self 20
+    Set(aggr, 2, 4, 320 + 50 + 80);         // self 80
+    Set(scan2, 2, 500, 10);
+    Set(project2, 2, 500, 10 + 30 + 5);     // self 5
+  }
+
+  static void Set(TraceNode* n, uint64_t calls, uint64_t tuples,
+                  uint64_t cycles) {
+    n->next_calls = calls;
+    n->tuples = tuples;
+    n->cycles = cycles;
+  }
+};
+
+TEST(ProfilerTest, RowsFlattenLeavesInPostOrderThenOperators) {
+  HandTrace h;
+  std::vector<std::string> names;
+  for (const auto& [name, s] : h.p.Rows()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "select_lt_i32_col_i32_val", "map_mul_f64_col_f64_col",
+                       "map_add_f64_val_f64_col", "aggr_sum_f64_col", "Scan",
+                       "Select", "Project", "Aggr"}));
 }
 
-TEST(ProfilerTest, GetStatsReturnsStablePointer) {
-  Profiler p;
-  PrimitiveStats* a = p.GetStats("x");
-  p.GetStats("y");
-  p.GetStats("z");
-  EXPECT_EQ(p.GetStats("x"), a);
+TEST(ProfilerTest, RowsSumByName) {
+  HandTrace h;
+  std::map<std::string, const PrimitiveStats*> rows;
+  for (const auto& [name, s] : h.p.Rows()) rows[name] = s;
+  const PrimitiveStats* mul = rows.at("map_mul_f64_col_f64_col");
+  EXPECT_EQ(mul->calls, 3u);
+  EXPECT_EQ(mul->tuples, 1500u);
+  EXPECT_EQ(mul->bytes, 1500u * 24);
+  EXPECT_EQ(mul->cycles, 90u);
+  const PrimitiveStats* scan = rows.at("Scan");
+  EXPECT_EQ(scan->calls, 5u);
+  EXPECT_EQ(scan->tuples, 2500u);
+  EXPECT_EQ(scan->cycles, 80u);
+  // Operator rows carry no bytes: only primitives declare their traffic.
+  EXPECT_EQ(scan->bytes, 0u);
 }
 
-TEST(ProfilerTest, ClearEmptiesRows) {
+TEST(ProfilerTest, OperatorRowsAreSelfCyclesAndPartitionTheTrace) {
+  HandTrace h;
+  std::map<std::string, uint64_t> cycles;
+  uint64_t sum = 0;
+  for (const auto& [name, s] : h.p.Rows()) {
+    cycles[name] = s->cycles;
+    sum += s->cycles;
+  }
+  EXPECT_EQ(cycles.at("Select"), 30u);
+  EXPECT_EQ(cycles.at("Project"), 25u);
+  EXPECT_EQ(cycles.at("Aggr"), 80u);
+  EXPECT_EQ(cycles.at("aggr_sum_f64_col"), 50u);
+  EXPECT_EQ(sum, h.aggr->cycles + h.project2->cycles);
+}
+
+TEST(ProfilerTest, EmptyTraceHasNoRows) {
   Profiler p;
-  p.GetStats("a");
-  p.GetStats("b");
-  p.Clear();
   EXPECT_TRUE(p.Rows().empty());
   EXPECT_EQ(p.ToJson(), "[]");
-  // Usable again after Clear.
-  p.GetStats("c")->calls = 7;
-  ASSERT_EQ(p.Rows().size(), 1u);
-  EXPECT_EQ(p.Rows()[0].first, "c");
 }
 
 TEST(ProfilerTest, ToJsonRoundTrip) {
-  Profiler p;
-  PrimitiveStats* s = p.GetStats("map_add_i32");
-  s->calls = 2;
-  s->tuples = 2048;
-  s->bytes = 8192;
-  s->cycles = 4096;
-  p.GetStats("Scan")->tuples = 100;
-
-  std::string j = p.ToJson();
-  // Structural sanity: an array of two objects, rows in order, all keys
+  HandTrace h;
+  std::string j = h.p.ToJson();
+  // Structural sanity: an array of row objects in Rows() order, all keys
   // present with the right values.
   EXPECT_EQ(j.front(), '[');
   EXPECT_EQ(j.back(), ']');
-  size_t first = j.find("\"name\":\"map_add_i32\"");
+  size_t first = j.find("\"name\":\"select_lt_i32_col_i32_val\"");
   size_t second = j.find("\"name\":\"Scan\"");
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(second, std::string::npos);
   EXPECT_LT(first, second);
   EXPECT_NE(j.find("\"calls\":2"), std::string::npos);
-  EXPECT_NE(j.find("\"tuples\":2048"), std::string::npos);
-  EXPECT_NE(j.find("\"bytes\":8192"), std::string::npos);
-  EXPECT_NE(j.find("\"cycles\":4096"), std::string::npos);
-  EXPECT_NE(j.find("\"cycles_per_tuple\":2"), std::string::npos);
+  EXPECT_NE(j.find("\"tuples\":2000"), std::string::npos);
+  EXPECT_NE(j.find("\"bytes\":16000"), std::string::npos);
+  EXPECT_NE(j.find("\"cycles\":100"), std::string::npos);
+  EXPECT_NE(j.find("\"cycles_per_tuple\":20"), std::string::npos);  // Aggr
 }
 
 // --- JsonWriter -------------------------------------------------------------
@@ -296,8 +348,15 @@ TEST(TraceTest, EndToEndTracedPlan) {
   const TraceNode* root = trace.roots()[0];
   EXPECT_EQ(root->label, "Aggr");
   EXPECT_EQ(root->plan_name, "traced_sum");
-  ASSERT_EQ(root->children.size(), 1u);
+  // The child operator, then the leaf of the primitive the Aggr bound.
+  ASSERT_EQ(root->children.size(), 2u);
   const TraceNode* scan = root->children[0];
+  const TraceNode* sum = root->children[1];
+  EXPECT_FALSE(scan->primitive);
+  EXPECT_TRUE(sum->primitive);
+  EXPECT_EQ(sum->label, "aggr_sum_i64_col");
+  EXPECT_EQ(sum->tuples, 5000u);
+  EXPECT_EQ(sum->next_calls, scan->batches);
   EXPECT_EQ(scan->label, "Scan");
   EXPECT_EQ(scan->detail, "nums");
   EXPECT_EQ(scan->tuples, 5000u);

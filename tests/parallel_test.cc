@@ -355,6 +355,43 @@ TEST_F(ParallelTpchTest, ExplainAnalyzeMergesWorkerSubtrees) {
   EXPECT_NE(s.find("morsel"), std::string::npos) << s;
 }
 
+TEST(ExchangeTest, ProfilerMergesWorkersThatBoundDifferentSteps) {
+  // Worker 0's morsel holds keys of a small span, so its Aggr keeps direct
+  // ids. Worker 1's keys span far past the direct bound: its Aggr switches
+  // to hashing on the first vector and binds map_hash then, so its trace
+  // node has a leaf worker 0's lacks. The merge keeps both.
+  const int64_t kRows = 8192;
+  const int64_t split =
+      Table::MorselRange(0, kRows, 0, 2, kSummaryIndexGranule).end;
+  Catalog cat;
+  Table* t = cat.AddTable("keys", {{"k", TypeId::kI64, false}});
+  for (int64_t i = 0; i < kRows; i++) {
+    t->AppendRow({Value::I64(i < split ? i % 10 : i * 1000003)});
+  }
+  t->Freeze();
+  Profiler prof;
+  ExecContext ctx;
+  ctx.profiler = &prof;
+  auto pipeline = [&](ExecContext* wctx, int w, int n) {
+    plan::OpPtr scan =
+        plan::Scan(wctx, *t, ScanSpec{.cols = {"k"}, .morsel = {w, n}});
+    return plan::Aggr(wctx, std::move(scan), {"k"}, AG(CountAll("c")));
+  };
+  std::unique_ptr<Table> r =
+      RunPlan(plan::Exchange(&ctx, 2, pipeline), "r");
+  const uint64_t hashed_rows = static_cast<uint64_t>(kRows - split);
+  EXPECT_EQ(r->num_rows(), 10 + static_cast<int64_t>(hashed_rows));
+  uint64_t direct = 0, hashed = 0, counted = 0;
+  for (const auto& [name, s] : prof.Rows()) {
+    if (name == "map_directgrp_i64_col") direct = s->tuples;
+    if (name == "map_hash_i64_col") hashed = s->tuples;
+    if (name == "aggr_count") counted = s->tuples;
+  }
+  EXPECT_GE(direct, static_cast<uint64_t>(split));
+  EXPECT_EQ(hashed, hashed_rows);
+  EXPECT_EQ(counted, static_cast<uint64_t>(kRows));
+}
+
 // ---- Shared infrastructure -------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {

@@ -120,23 +120,68 @@ TEST_F(ForcedDegradedTest, NothingInstallsAndReadsAreAbsent) {
 }
 
 TEST_F(ForcedDegradedTest, ProfilerOutputHasNoCounterFields) {
-  // The degraded contract end to end: a measured profiler row renders its
+  // The degraded contract end to end: a measured primitive leaf renders its
   // cycle columns but NO hardware-counter keys — absence, not zeros.
   Profiler prof;
-  PrimitiveStats* s = prof.GetStats("map_mul_flt_col_flt_col");
+  TraceNode* op = prof.tree()->NewNode("Project", "", {});
+  TraceNode* leaf = prof.tree()->NewLeaf(op, "map_mul_flt_col_flt_col", 16);
   {
-    ScopedCycles t(s);
+    ScopedCounters window(op);
     volatile double sink = 1.0;
-    for (int i = 0; i < 1000; i++) sink = sink * 1.000001;
+    TimedCall(leaf, 1000, [&] {
+      for (int i = 0; i < 1000; i++) sink = sink * 1.000001;
+    });
   }
-  s->calls = 1;
-  s->tuples = 1000;
-  EXPECT_FALSE(s->perf.any());
+  EXPECT_FALSE(leaf->perf.any());
+  EXPECT_FALSE(op->perf.any());
+  auto rows = prof.Rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].first, "map_mul_flt_col_flt_col");
+  EXPECT_EQ(rows[0].second->calls, 1u);
+  EXPECT_EQ(rows[0].second->tuples, 1000u);
+  EXPECT_GT(rows[0].second->cycles, 0u);
+  EXPECT_FALSE(rows[0].second->perf.any());
   std::string json = prof.ToJson();
   EXPECT_NE(json.find("\"cycles\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"ipc\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"cache_misses\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"instructions\""), std::string::npos) << json;
+  std::string text = prof.ToString();
+  EXPECT_EQ(text.find("ipc"), std::string::npos) << text;
+  EXPECT_EQ(text.find("miss/tup"), std::string::npos) << text;
+}
+
+TEST(ProfilerHwTest, RowsWithoutCountersRenderDashNotZero) {
+  // A trace where only one leaf carries counters: the text table grows the
+  // ipc / miss columns, and the leaf without counters shows "-" there; its
+  // JSON row omits the keys.
+  Profiler prof;
+  TraceNode* op = prof.tree()->NewNode("Select", "", {});
+  TraceNode* with = prof.tree()->NewLeaf(op, "select_lt_i32_col_i32_val", 8);
+  TraceNode* without = prof.tree()->NewLeaf(op, "select_gt_i32_col_i32_val", 8);
+  with->next_calls = without->next_calls = 1;
+  with->tuples = without->tuples = 100;
+  with->cycles = without->cycles = 200;
+  op->cycles = 500;
+  with->perf.Set(PerfEvent::kCycles, 200);
+  with->perf.Set(PerfEvent::kInstructions, 400);
+  with->perf.Set(PerfEvent::kCacheMisses, 5);
+  std::string text = prof.ToString();
+  EXPECT_NE(text.find("ipc"), std::string::npos) << text;
+  size_t gt = text.find("select_gt_i32_col_i32_val");
+  ASSERT_NE(gt, std::string::npos);
+  std::string gt_line = text.substr(text.rfind('\n', gt) + 1,
+                                    gt - text.rfind('\n', gt) - 1);
+  EXPECT_NE(gt_line.find(" - "), std::string::npos) << gt_line;
+  size_t lt = text.find("select_lt_i32_col_i32_val");
+  std::string lt_line = text.substr(text.rfind('\n', lt) + 1,
+                                    lt - text.rfind('\n', lt) - 1);
+  EXPECT_NE(lt_line.find("2.00"), std::string::npos) << lt_line;
+  std::string json = prof.ToJson();
+  size_t gt_obj = json.find("\"name\":\"select_gt_i32_col_i32_val\"");
+  ASSERT_NE(gt_obj, std::string::npos);
+  EXPECT_EQ(json.find("\"ipc\"", gt_obj), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ipc\":2"), std::string::npos) << json;
 }
 
 TEST(PerfThreadTest, ForceDisableIsReversible) {

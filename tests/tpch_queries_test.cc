@@ -3,7 +3,11 @@
 // baselines. This is the repository's correctness oracle (DESIGN.md).
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -574,6 +578,113 @@ TEST(TpchTrace, X100Q1TraceShowsVectorizedPrimitives) {
     EXPECT_EQ(saw_sum, !fuse);
     EXPECT_EQ(saw_rows, fuse);
   }
+}
+
+// Primitive rows (lower-case names) of a Profiler, in row order.
+std::vector<std::pair<std::string, uint64_t>> PrimitiveRows(const Profiler& p) {
+  std::vector<std::pair<std::string, uint64_t>> rows;
+  for (const auto& [name, s] : p.Rows()) {
+    if (name[0] >= 'a' && name[0] <= 'z') rows.emplace_back(name, s->tuples);
+  }
+  return rows;
+}
+
+TEST(TpchTrace, X100Q1ProfilerRowsFollowThePipeline) {
+  // Table 5's order: the select, then the maps feeding the aggregates, the
+  // group ids, the updates, and the top Project's maps. Construction-time
+  // binds leave no rows, so none of them comes first.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  Profiler profiler;
+  ExecContext ctx;
+  ctx.fuse_compound_primitives = false;
+  ctx.profiler = &profiler;
+  RunX100Query(1, &ctx, *db);
+  std::vector<std::pair<std::string, uint64_t>> want = {
+      {"select_le_i32_col_i32_val", 60142},
+      {"map_fetch_f64_col_u8_col", 177945},
+      {"map_sub_f64_val_f64_col", 59315},
+      {"map_mul_f64_col_f64_col", 118630},
+      {"map_add_f64_val_f64_col", 59315},
+      {"map_directgrp_i8_col_i8_col", 61366},
+      {"aggr_sum_f64_col", 296575},
+      {"aggr_count", 59315},
+      {"map_cast_f64_i64_col", 4},
+      {"map_div_f64_col_f64_col", 12}};
+  EXPECT_EQ(PrimitiveRows(profiler), want);
+  // Operator rows follow, one per label, and count output tuples.
+  std::vector<std::string> ops;
+  for (const auto& [name, s] : profiler.Rows()) {
+    if (name[0] >= 'A' && name[0] <= 'Z') ops.push_back(name);
+  }
+  EXPECT_EQ(ops, (std::vector<std::string>{"Scan", "Select", "Aggr",
+                                           "Project", "Order"}));
+}
+
+TEST(TpchTrace, X100Q21ProfilerRowsPartitionTheTrace) {
+  // Every operator has a row, OrdAggr included, and the rows split the
+  // traced cycles: primitive rows plus operator self rows sum to the roots'
+  // inclusive cycles (self cycles clamp at 0, so allow 1%).
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  Profiler profiler;
+  ExecContext ctx;
+  ctx.profiler = &profiler;
+  RunX100Query(21, &ctx, *db);
+  bool saw_ord = false;
+  double rows = 0;
+  for (const auto& [name, s] : profiler.Rows()) {
+    saw_ord |= name == "OrdAggr" && s->tuples > 0;
+    rows += static_cast<double>(s->cycles);
+  }
+  EXPECT_TRUE(saw_ord);
+  double roots = 0;
+  for (const TraceNode* r : profiler.tree()->roots()) {
+    roots += static_cast<double>(r->cycles);
+  }
+  ASSERT_GT(roots, 0.0);
+  EXPECT_NEAR(rows / roots, 1.0, 0.01);
+}
+
+TEST(TpchTrace, X100Q6ProfilerRowsMatchAcrossThreadCounts) {
+  // Exchange workers trace into trees of their own, merged node-wise under
+  // the Exchange: the primitive rows equal the serial plan's, plus the merge
+  // Aggr's updates over one partial row per worker.
+  DbgenOptions opts;
+  opts.scale_factor = 0.01;
+  std::unique_ptr<Catalog> db = GenerateTpch(opts);
+  auto profile = [&](int threads, Profiler* p) {
+    ExecContext ctx;
+    ctx.num_threads = threads;
+    ctx.profiler = p;
+    RunX100Query(6, &ctx, *db);
+  };
+  Profiler serial, parallel;
+  profile(1, &serial);
+  profile(2, &parallel);
+  // Leaves of the merge Aggr: the node whose children include the Exchange.
+  std::map<std::string, uint64_t> merge_tuples;
+  std::vector<const TraceNode*> stack(parallel.tree()->roots().begin(),
+                                      parallel.tree()->roots().end());
+  while (!stack.empty()) {
+    const TraceNode* n = stack.back();
+    stack.pop_back();
+    bool above_exchange = false;
+    for (const TraceNode* c : n->children) {
+      above_exchange |= c->label == "Exchange";
+      stack.push_back(c);
+    }
+    if (!above_exchange) continue;
+    for (const TraceNode* c : n->children) {
+      if (c->primitive) merge_tuples[c->label] += c->tuples;
+    }
+  }
+  ASSERT_FALSE(merge_tuples.empty());
+  std::vector<std::pair<std::string, uint64_t>> want = PrimitiveRows(serial);
+  for (auto& [name, tuples] : want) tuples += merge_tuples[name];
+  EXPECT_EQ(PrimitiveRows(parallel), want);
 }
 
 }  // namespace
